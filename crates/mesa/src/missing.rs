@@ -17,13 +17,18 @@
 //! 3. otherwise fit a logistic regression `P(R_E = 1 | X)` on fully observed
 //!    attributes of the input dataset and weight each complete case by
 //!    `P(R_E = 1) / P(R_E = 1 | x_i)` — the IPW estimator the paper adopts.
+//!
+//! The model's features `X` do not depend on `E`: a fitted candidate has
+//! missing values, so it is never one of its own fully observed features.
+//! [`analyze_candidates`] therefore selects the features and builds the
+//! model's design once, on the first fit it needs, and every candidate's
+//! fit reads that one design.
 
 use std::collections::HashMap;
-
-use std::borrow::Cow;
+use std::sync::OnceLock;
 
 use infotheory::{CiTestConfig, EncodedFrame};
-use stats::{logistic_fit, logistic_fit_weighted, LogisticConfig};
+use stats::{irls, Design, LogisticConfig};
 use tabular::{Column, ColumnView, EncodedColumn};
 
 use crate::error::{MesaError, Result};
@@ -69,6 +74,181 @@ pub fn selection_indicator<'a>(column: impl Into<ColumnView<'a>>) -> EncodedColu
     EncodedColumn::from_codes(codes, vec!["missing".into(), "observed".into()])
 }
 
+/// Most features the selection-probability model takes: it only supplies
+/// weights, so it stays small.
+const MAX_FEATURES: usize = 6;
+
+/// The design of the selection-probability model, shared by every fit of
+/// one [`analyze_candidates`] call.
+struct SelectionDesign {
+    /// `[1, x₁ … x_m]` per frame row, or per distinct feature combination
+    /// when `groups` is set.
+    design: Design,
+    groups: Option<Groups>,
+}
+
+/// The grouped form of the fit. The features are discrete codes, so rows
+/// with the same feature combination are interchangeable: IRLS runs over
+/// the distinct combinations with binomial weights — same optimum, far
+/// fewer rows. It applies when the features' cross product fits the entropy
+/// kernel's dense-table bound; features with 100+ levels exceed it.
+struct Groups {
+    /// Design row (combination) of every frame row.
+    of_row: Vec<usize>,
+    /// Frame rows per combination, the binomial weights.
+    rows: Vec<f64>,
+}
+
+impl SelectionDesign {
+    /// Selects the model's features — the first [`MAX_FEATURES`] of
+    /// `feature_columns` that are fully observed and not constant, whose
+    /// discrete codes are used as numeric features (what "the values of the
+    /// attributes in D" amounts to after binning) — and builds the design.
+    /// `None` when the design has fewer rows than coefficients.
+    fn build(
+        encoded: &EncodedFrame,
+        feature_columns: &[String],
+    ) -> Result<Option<SelectionDesign>> {
+        let mut features: Vec<ColumnView<'_>> = Vec::new();
+        for f in feature_columns {
+            let fc = encoded.column(f)?;
+            if fc.null_count() == 0 && fc.cardinality() > 1 {
+                features.push(fc);
+                if features.len() >= MAX_FEATURES {
+                    break;
+                }
+            }
+        }
+        let n = encoded.n_rows();
+        // Decoded once: a sealed column's `codes()` allocates.
+        let codes: Vec<_> = features.iter().map(|c| c.codes()).collect();
+        let dense_cap = infotheory::adaptive_dense_cells(n);
+        let cells = features.iter().try_fold(1usize, |acc, c| {
+            let next = acc.checked_mul(c.cardinality())?;
+            (next <= dense_cap).then_some(next)
+        });
+        let Some(cells) = cells else {
+            let columns: Vec<&[u32]> = codes.iter().map(|c| c.as_ref()).collect();
+            let design = Design::from_columns(n, &columns).ok();
+            return Ok(design.map(|design| SelectionDesign {
+                design,
+                groups: None,
+            }));
+        };
+        // Mixed-radix code packing (the entropy kernel's trick) numbers the
+        // combinations; design rows follow that numbering.
+        let mut cell_of_row = vec![0usize; n];
+        let mut mult = 1usize;
+        for (c, codes) in features.iter().zip(&codes) {
+            for (cell, &code) in cell_of_row.iter_mut().zip(codes.iter()) {
+                *cell += code as usize * mult;
+            }
+            mult *= c.cardinality();
+        }
+        let mut rows_in_cell = vec![0.0f64; cells];
+        for &cell in &cell_of_row {
+            rows_in_cell[cell] += 1.0;
+        }
+        let mut group_of_cell = vec![0usize; cells];
+        let mut rows = Vec::new();
+        let mut columns: Vec<Vec<f64>> = vec![Vec::new(); features.len()];
+        for (cell, &count) in rows_in_cell.iter().enumerate() {
+            if count == 0.0 {
+                continue;
+            }
+            group_of_cell[cell] = rows.len();
+            rows.push(count);
+            let mut rest = cell;
+            for (c, values) in features.iter().zip(columns.iter_mut()) {
+                values.push((rest % c.cardinality()) as f64);
+                rest /= c.cardinality();
+            }
+        }
+        let of_row = cell_of_row
+            .iter()
+            .map(|&cell| group_of_cell[cell])
+            .collect();
+        let columns: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
+        let design = Design::from_columns(rows.len(), &columns).ok();
+        Ok(design.map(|design| SelectionDesign {
+            design,
+            groups: Some(Groups { of_row, rows }),
+        }))
+    }
+
+    /// IPW weights `P(R = 1) / P(R = 1 | x_i)` of the observed rows (1.0
+    /// elsewhere) for the selection indicator `r` (1.0 = observed), or
+    /// `None` when the fit fails.
+    fn weights(&self, r: &[f64]) -> Option<Vec<f64>> {
+        let marginal = r.iter().sum::<f64>() / r.len() as f64;
+        // Weights only matter for complete cases; incomplete rows are
+        // dropped by the estimators regardless of their weight.
+        let weight = |p: f64| marginal / p.clamp(0.05, 1.0);
+        let config = LogisticConfig::default();
+        let Some(groups) = &self.groups else {
+            let model = irls(&self.design, r, None, config).ok()?;
+            let rows = self.design.rows().zip(r);
+            return Some(
+                rows.map(|(x, &ri)| {
+                    if ri > 0.5 {
+                        weight(model.predict_row(x))
+                    } else {
+                        1.0
+                    }
+                })
+                .collect(),
+            );
+        };
+        let mut observed = vec![0.0f64; groups.rows.len()];
+        for (&g, &ri) in groups.of_row.iter().zip(r) {
+            observed[g] += ri;
+        }
+        let share: Vec<f64> = observed
+            .iter()
+            .zip(&groups.rows)
+            .map(|(o, n)| o / n)
+            .collect();
+        let model = irls(&self.design, &share, Some(&groups.rows), config).ok()?;
+        let p: Vec<f64> = self.design.rows().map(|x| model.predict_row(x)).collect();
+        Some(
+            groups
+                .of_row
+                .iter()
+                .zip(r)
+                .map(|(&g, &ri)| if ri > 0.5 { weight(p[g]) } else { 1.0 })
+                .collect(),
+        )
+    }
+}
+
+/// A [`SelectionDesign`] built on first use: only a candidate with selection
+/// bias needs it, and concurrent candidates wait for the one build.
+struct LazyDesign<'a> {
+    encoded: &'a EncodedFrame,
+    feature_columns: &'a [String],
+    cell: OnceLock<Result<Option<SelectionDesign>>>,
+}
+
+impl<'a> LazyDesign<'a> {
+    fn new(encoded: &'a EncodedFrame, feature_columns: &'a [String]) -> Self {
+        LazyDesign {
+            encoded,
+            feature_columns,
+            cell: OnceLock::new(),
+        }
+    }
+
+    fn get(&self) -> Result<Option<&SelectionDesign>> {
+        let built = self
+            .cell
+            .get_or_init(|| SelectionDesign::build(self.encoded, self.feature_columns));
+        match built {
+            Ok(design) => Ok(design.as_ref()),
+            Err(e) => Err(e.clone()),
+        }
+    }
+}
+
 /// Analyses one candidate attribute for selection bias and, when detected,
 /// estimates IPW weights.
 ///
@@ -82,6 +262,20 @@ pub fn analyze_attribute(
     outcome: &str,
     exposure: &str,
     feature_columns: &[String],
+    ci: CiTestConfig,
+) -> Result<SelectionBiasInfo> {
+    let design = LazyDesign::new(encoded, feature_columns);
+    analyze_with(encoded, attribute, outcome, exposure, &design, ci)
+}
+
+/// [`analyze_attribute`] over a design shared with the other candidates of
+/// one call.
+fn analyze_with(
+    encoded: &EncodedFrame,
+    attribute: &str,
+    outcome: &str,
+    exposure: &str,
+    design: &LazyDesign<'_>,
     ci: CiTestConfig,
 ) -> Result<SelectionBiasInfo> {
     let col = encoded.column(attribute)?;
@@ -110,125 +304,10 @@ pub fn analyze_attribute(
         });
     }
 
-    // Fit P(R_E = 1 | X) on fully observed features.
-    let n = r.len();
-    // The indicator is fully observed, so its raw codes are all meaningful.
-    let y: Vec<f64> = r.codes().iter().map(|&c| f64::from(c)).collect();
-    let mut features: Vec<(&str, ColumnView<'_>)> = Vec::new();
-    for f in feature_columns {
-        if f == attribute {
-            continue;
-        }
-        let fc = encoded.column(f)?;
-        if fc.null_count() > 0 {
-            continue; // only fully observed features are usable
-        }
-        if fc.cardinality() <= 1 {
-            continue;
-        }
-        features.push((f.as_str(), fc));
-        if features.len() >= 6 {
-            break; // keep the model small; it only supplies weights
-        }
-    }
-    let marginal = y.iter().sum::<f64>() / n as f64;
-    // Materialise each feature's codes once: for sealed columns `codes()`
-    // decodes into an owned buffer, which must not happen inside the row loop.
-    let feature_codes: Vec<Cow<'_, [u32]>> = features.iter().map(|(_, c)| c.codes()).collect();
-
-    // The features are discrete codes with small cardinalities, so rows with
-    // the same feature combination are interchangeable for the fit. Group
-    // them by mixed-radix code packing (the entropy kernel's trick) and run
-    // IRLS over the distinct combinations with binomial weights — same
-    // optimum, orders of magnitude fewer rows.
-    let dense_cap = infotheory::adaptive_dense_cells(n);
-    let cells = features.iter().try_fold(1usize, |acc, (_, c)| {
-        let next = acc.checked_mul(c.cardinality())?;
-        (next <= dense_cap).then_some(next)
-    });
-    let weights = match cells {
-        Some(cells) => {
-            let mut combo_of = Vec::with_capacity(n);
-            let mut tallies = vec![(0.0f64, 0.0f64); cells]; // (rows, observed)
-            for (i, &yi) in y.iter().enumerate() {
-                let mut idx = 0usize;
-                let mut mult = 1usize;
-                for ((_, c), codes) in features.iter().zip(&feature_codes) {
-                    idx += codes[i] as usize * mult;
-                    mult *= c.cardinality();
-                }
-                combo_of.push(idx);
-                tallies[idx].0 += 1.0;
-                tallies[idx].1 += yi;
-            }
-            let mut grouped_combos = Vec::new();
-            let mut gy = Vec::new();
-            let mut gw = Vec::new();
-            let mut gpred: Vec<(String, Vec<f64>)> = features
-                .iter()
-                .map(|(name, _)| (name.to_string(), Vec::new()))
-                .collect();
-            for (idx, &(count, observed)) in tallies.iter().enumerate() {
-                if count == 0.0 {
-                    continue;
-                }
-                grouped_combos.push(idx);
-                gy.push(observed / count);
-                gw.push(count);
-                let mut rest = idx;
-                for ((_, c), (_, vals)) in features.iter().zip(gpred.iter_mut()) {
-                    vals.push((rest % c.cardinality()) as f64);
-                    rest /= c.cardinality();
-                }
-            }
-            match logistic_fit_weighted(&gy, &gpred, Some(&gw), LogisticConfig::default()) {
-                Ok(model) => {
-                    // Selection probability per combination, then one lookup
-                    // per row. Weights only matter for complete cases;
-                    // incomplete rows are dropped by the estimators
-                    // regardless of their weight.
-                    let mut p_of = vec![1.0f64; cells];
-                    for (gi, &idx) in grouped_combos.iter().enumerate() {
-                        let feats: Vec<f64> = gpred.iter().map(|(_, v)| v[gi]).collect();
-                        p_of[idx] = model.predict_proba(&feats).clamp(0.05, 1.0);
-                    }
-                    let w = (0..n)
-                        .map(|i| {
-                            if y[i] > 0.5 {
-                                marginal / p_of[combo_of[i]]
-                            } else {
-                                1.0
-                            }
-                        })
-                        .collect();
-                    Some(w)
-                }
-                Err(_) => None,
-            }
-        }
-        // Pathological cross product: fall back to the row-level fit.
-        None => {
-            let predictors: Vec<(String, Vec<f64>)> = features
-                .iter()
-                .zip(&feature_codes)
-                .map(|((name, _), codes)| {
-                    (name.to_string(), codes.iter().map(|&v| v as f64).collect())
-                })
-                .collect();
-            match logistic_fit(&y, &predictors, LogisticConfig::default()) {
-                Ok(model) => {
-                    let mut w = Vec::with_capacity(n);
-                    for i in 0..n {
-                        let feats: Vec<f64> = predictors.iter().map(|(_, v)| v[i]).collect();
-                        let p = model.predict_proba(&feats).clamp(0.05, 1.0);
-                        w.push(if y[i] > 0.5 { marginal / p } else { 1.0 });
-                    }
-                    Some(w)
-                }
-                Err(_) => None,
-            }
-        }
-    };
+    // Fit P(R_E = 1 | X) on fully observed features. The indicator is fully
+    // observed, so its raw codes are all meaningful.
+    let r: Vec<f64> = r.codes().iter().map(|&c| f64::from(c)).collect();
+    let weights = design.get()?.and_then(|design| design.weights(&r));
     Ok(SelectionBiasInfo {
         attribute: attribute.to_string(),
         missing_fraction,
@@ -253,10 +332,12 @@ pub fn analyze_candidates(
         return Ok(out);
     }
     // Each attribute's analysis is independent read-only work over the
-    // encoded frame — fan it out over the persistent pool (adaptive grain:
-    // attributes with expensive IPW fits don't strand the cheap ones).
+    // encoded frame and the shared design — fan it out over the persistent
+    // pool (adaptive grain: attributes with expensive IPW fits don't strand
+    // the cheap ones). Each fit's sums stay on one thread, in row order.
+    let design = LazyDesign::new(encoded, feature_columns);
     let analyses = crate::parallel::parallel_map(candidates, |_, c| {
-        analyze_attribute(encoded, c, outcome, exposure, feature_columns, ci)
+        analyze_with(encoded, c, outcome, exposure, &design, ci)
     });
     for (c, info) in candidates.iter().zip(analyses) {
         let info = info?;
@@ -350,6 +431,101 @@ mod tests {
             .cat("MAR", mar)
             .build()
             .unwrap()
+    }
+
+    /// Two biased attributes over four fully observed features, two of them
+    /// wide integers: the features' cross product (4·2·97·53 cells) exceeds
+    /// the dense-table bound for 480 rows, so the selection model is fitted
+    /// row by row.
+    fn wide_biased_frame() -> tabular::DataFrame {
+        let n = 480;
+        let mut country = Vec::new();
+        let mut salary = Vec::new();
+        let mut hdi = Vec::new();
+        let mut gini = Vec::new();
+        for i in 0..n {
+            let high = i % 4 < 2;
+            country.push(Some(["DE", "IT", "NG", "KE"][i % 4]));
+            salary.push(Some(if high { "high" } else { "low" }));
+            hdi.push((!high || i % 3 == 0).then_some(if high { "big" } else { "small" }));
+            gini.push((i % 4 != 3 || i % 5 == 0).then_some(if i % 7 < 3 { "a" } else { "b" }));
+        }
+        DataFrameBuilder::new()
+            .cat("Country", country)
+            .cat("Salary", salary)
+            .int("Id97", (0..n).map(|i| Some((i % 97) as i64)).collect())
+            .int("Id53", (0..n).map(|i| Some((i * 7 % 53) as i64)).collect())
+            .cat("HDI", hdi)
+            .cat("Gini", gini)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn row_level_fits_share_one_design_and_match_the_textbook_fit() {
+        let df = wide_biased_frame();
+        let encoded = EncodedFrame::from_frame(&df);
+        let features = fully_observed_columns(&df);
+        let n = df.n_rows();
+        let cells: usize = features
+            .iter()
+            .map(|f| encoded.cardinality(f).unwrap())
+            .product();
+        assert!(
+            cells > infotheory::adaptive_dense_cells(n),
+            "the fixture must take the row-level path"
+        );
+        let ci = CiTestConfig::default();
+        let candidates = vec!["HDI".to_string(), "Gini".to_string()];
+        let shared = analyze_candidates(
+            &encoded,
+            &candidates,
+            "Salary",
+            "Country",
+            &features,
+            MissingPolicy::Ipw,
+            ci,
+        )
+        .unwrap();
+        let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for name in &candidates {
+            let weights = shared[name].weights.as_deref().expect("weighted");
+            let alone = analyze_attribute(&encoded, name, "Salary", "Country", &features, ci)
+                .unwrap()
+                .weights
+                .expect("weighted");
+            assert_eq!(bits(weights), bits(&alone), "{name}");
+
+            // The fit as written before the design was shared: predictor
+            // columns, `logistic_fit`, and a fresh feature vector per row.
+            let r: Vec<f64> = selection_indicator(encoded.column(name).unwrap())
+                .codes()
+                .iter()
+                .map(|&c| f64::from(c))
+                .collect();
+            let predictors: Vec<(String, Vec<f64>)> = features
+                .iter()
+                .map(|f| {
+                    let codes = encoded.column(f).unwrap().codes();
+                    (f.clone(), codes.iter().map(|&c| f64::from(c)).collect())
+                })
+                .collect();
+            let model = stats::logistic_fit(&r, &predictors, LogisticConfig::default()).unwrap();
+            let marginal = r.iter().sum::<f64>() / n as f64;
+            let textbook: Vec<f64> = (0..n)
+                .map(|i| {
+                    let x: Vec<f64> = predictors.iter().map(|(_, v)| v[i]).collect();
+                    let p = model.predict_proba(&x).clamp(0.05, 1.0);
+                    if r[i] > 0.5 {
+                        marginal / p
+                    } else {
+                        1.0
+                    }
+                })
+                .collect();
+            assert_eq!(bits(weights), bits(&textbook), "{name}");
+            assert!(weights.iter().any(|&w| w > 1.01), "{name}");
+        }
     }
 
     #[test]

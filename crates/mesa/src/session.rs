@@ -206,8 +206,10 @@ pub struct SessionLimits {
     /// Budget of the prepared-query memo (entries priced by
     /// [`PreparedQuery::approx_bytes`]).
     pub prepared: CacheBudget,
-    /// Budget of the report memo (entries priced by their debug rendering —
-    /// reports are small).
+    /// Budget of the report memo (entries priced by
+    /// [`MesaReport::approx_bytes`]). A report is mostly its IPW weights,
+    /// one `f64` per row per weighted attribute: a 20,000-row report can
+    /// hold megabytes of them.
     pub reports: CacheBudget,
     /// Budget of the extraction cache (entries priced by
     /// [`ColumnExtraction::approx_bytes`]).
@@ -474,16 +476,13 @@ impl<'a> Session<'a> {
 
     fn explain_keyed(&self, fingerprint: &str, query: &AggregateQuery) -> Result<Arc<MesaReport>> {
         let key = fingerprint.to_string();
-        self.reports.get_or_fill(
-            &key,
-            |r| format!("{r:?}").len(),
-            || {
+        self.reports
+            .get_or_fill(&key, MesaReport::approx_bytes, || {
                 parallel::fault_point!("mesa.session.fill_report");
                 parallel::checkpoint();
                 let prepared = self.prepare_keyed(fingerprint, query)?;
                 Mesa::with_config(self.config).explain_prepared(&prepared)
-            },
-        )
+            })
     }
 
     /// Explains a batch of independent queries, returning one result per
@@ -809,6 +808,36 @@ mod tests {
         assert_eq!(stats.reports.evictions, 0);
         assert_eq!(stats.extraction.unwrap().evictions, 0);
         assert!(stats.prepared.resident_bytes > 0);
+    }
+
+    #[test]
+    fn reports_are_priced_by_their_weights_and_names() {
+        let (df, mut g) = setup();
+        // HDI is missing for KE alone, so its missingness depends on the
+        // exposure and IPW weights it.
+        for (c, hdi) in [("DE", 0.95), ("IT", 0.9), ("NG", 0.5)] {
+            g.add_fact(c, "HDI", Object::number(hdi));
+        }
+        let session = Session::new(&df, Some(&g), &["Country"], MesaConfig::mesa_minus());
+        let mut priced = 0;
+        let mut weights = 0;
+        for q in [
+            AggregateQuery::avg("Country", "Salary"),
+            AggregateQuery::avg("Region", "Salary"),
+        ] {
+            let report = session.explain(&q).unwrap();
+            let n: usize = report
+                .selection_bias
+                .values()
+                .filter_map(|info| info.weights.as_ref())
+                .map(Vec::len)
+                .sum();
+            assert!(report.approx_bytes() >= 8 * n);
+            weights += n;
+            priced += report.approx_bytes();
+        }
+        assert!(weights > 0, "the fixture must carry IPW weights");
+        assert_eq!(session.cache_stats().reports.resident_bytes, priced);
     }
 
     #[test]

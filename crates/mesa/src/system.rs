@@ -74,6 +74,34 @@ pub struct MesaReport {
     pub n_extracted: usize,
 }
 
+impl MesaReport {
+    /// Approximate resident footprint in bytes, pricing entries for the
+    /// session's report memo: one `f64` per row of every IPW weight vector —
+    /// nearly all of a report — plus the attribute names it holds.
+    pub fn approx_bytes(&self) -> usize {
+        let weights: usize = self
+            .selection_bias
+            .values()
+            .filter_map(|info| info.weights.as_ref())
+            .map(|w| w.len() * std::mem::size_of::<f64>())
+            .sum();
+        let names: usize = self
+            .explanation
+            .attributes
+            .iter()
+            .chain(&self.pruning.kept)
+            .chain(self.pruning.dropped.iter().map(|(name, _)| name))
+            .chain(
+                self.selection_bias
+                    .iter()
+                    .flat_map(|(key, info)| [key, &info.attribute]),
+            )
+            .map(String::len)
+            .sum();
+        weights + names + 256
+    }
+}
+
 /// The MESA system.
 ///
 /// ```

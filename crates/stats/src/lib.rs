@@ -7,7 +7,8 @@
 //! * [`ols_fit`] — multiple linear regression with t statistics and p-values
 //!   (the paper's LR baseline).
 //! * [`logistic_fit`] — logistic regression via IRLS, used to estimate the
-//!   selection probabilities behind the Inverse Probability Weighting scheme.
+//!   selection probabilities behind the Inverse Probability Weighting scheme;
+//!   [`irls`] fits over a [`Design`] that several fits can share.
 //! * [`pearson`] / [`spearman`] — classical correlation measures.
 //!
 //! ```
@@ -28,7 +29,9 @@ pub mod ols;
 pub mod special;
 
 pub use correlation::{mean, pearson, spearman, std_dev, variance};
-pub use logistic::{logistic_fit, logistic_fit_weighted, LogisticConfig, LogisticFit};
+pub use logistic::{
+    irls, logistic_fit, logistic_fit_weighted, Design, IrlsFit, LogisticConfig, LogisticFit,
+};
 pub use matrix::{Matrix, MatrixError};
 pub use ols::{ols_fit, Coefficient, FitError, OlsFit};
 pub use special::{beta_inc, erf, ln_gamma, normal_cdf, student_t_sf};
