@@ -25,6 +25,8 @@ pub struct JointTable {
     total: f64,
     /// Number of rows that participated (complete cases).
     complete_cases: usize,
+    /// Number of dimensions (columns) the table spans.
+    n_dims: usize,
 }
 
 impl JointTable {
@@ -81,6 +83,7 @@ impl JointTable {
             counts: acc.counts,
             total: acc.total,
             complete_cases: acc.complete_cases,
+            n_dims: columns.len(),
         })
     }
 
@@ -127,6 +130,7 @@ impl JointTable {
             counts: acc.counts,
             total: acc.total,
             complete_cases: acc.complete_cases,
+            n_dims: columns.len(),
         })
     }
 
@@ -143,6 +147,12 @@ impl JointTable {
     /// Number of complete-case rows that contributed.
     pub fn complete_cases(&self) -> usize {
         self.complete_cases
+    }
+
+    /// Number of dimensions: the columns the table was built over, or the
+    /// dimensions a [`marginal`](JointTable::marginal) kept.
+    pub fn n_dims(&self) -> usize {
+        self.n_dims
     }
 
     /// Number of observed (non-zero) cells.
@@ -171,6 +181,7 @@ impl JointTable {
             counts: self.counts.marginalize(dims),
             total: self.total,
             complete_cases: self.complete_cases,
+            n_dims: dims.len(),
         }
     }
 

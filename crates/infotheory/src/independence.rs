@@ -15,7 +15,7 @@
 use tabular::{ColumnView, EncodedColumn};
 
 use crate::contingency::JointTable;
-use crate::measures::conditional_mutual_information_views;
+use crate::measures::cmi_of_table;
 use crate::special::chi2_sf;
 
 /// The outcome of a conditional-independence test.
@@ -87,9 +87,18 @@ pub fn ci_test_views(
     all.push(x);
     all.push(y);
     all.extend_from_slice(z);
-    let joint = JointTable::build_views(&all, weights);
+    ci_test_table(&JointTable::build_views(&all, weights), config)
+}
+
+/// The G-test of `X ⫫ Y | Z` over a joint table already built on
+/// `[X, Y, Z…]` (two dimensions test `X ⫫ Y`). The CMI, the sample size and
+/// the degrees of freedom all come from this one table, so a caller that
+/// needs other measures of the same columns folds the rows once.
+///
+/// # Panics
+/// Panics if the table has fewer than two dimensions.
+pub fn ci_test_table(joint: &JointTable, config: CiTestConfig) -> CiTestResult {
     let n = joint.complete_cases();
-    let cmi = conditional_mutual_information_views(x, y, z, weights);
     if n == 0 {
         return CiTestResult {
             cmi: 0.0,
@@ -100,13 +109,14 @@ pub fn ci_test_views(
             independent: true,
         };
     }
-    let levels_x = observed_levels(&joint, 0).max(1);
-    let levels_y = observed_levels(&joint, 1).max(1);
-    let levels_z: usize = if z.is_empty() {
+    let cmi = cmi_of_table(joint);
+    let levels_x = observed_levels(joint, 0).max(1);
+    let levels_y = observed_levels(joint, 1).max(1);
+    let levels_z: usize = if joint.n_dims() == 2 {
         1
     } else {
         joint
-            .marginal(&(2..all.len()).collect::<Vec<_>>())
+            .marginal(&(2..joint.n_dims()).collect::<Vec<_>>())
             .n_cells()
             .max(1)
     };

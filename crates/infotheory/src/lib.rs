@@ -42,8 +42,8 @@ pub mod special;
 pub use contingency::JointTable;
 pub use frame::{ColumnEncodingReport, EncodedFrame};
 pub use independence::{
-    approx_functional_dependency, ci_test, ci_test_views, is_conditionally_independent,
-    logically_equivalent, CiTestConfig, CiTestResult,
+    approx_functional_dependency, ci_test, ci_test_table, ci_test_views,
+    is_conditionally_independent, logically_equivalent, CiTestConfig, CiTestResult,
 };
 pub use kernel::{
     accumulate_views, adaptive_dense_cells, complete_case_mask, complete_case_mask_views,
@@ -51,9 +51,10 @@ pub use kernel::{
     DENSE_CELLS_FLOOR, DENSE_CELLS_PER_ROW,
 };
 pub use measures::{
-    conditional_entropy, conditional_entropy_views, conditional_mutual_information,
-    conditional_mutual_information_views, entropy, entropy_view, interaction_information,
-    interaction_information_views, joint_entropy, joint_entropy_views, mutual_information,
-    mutual_information_views, normalized_mutual_information, normalized_mutual_information_views,
+    conditional_entropy, conditional_entropy_of_table, conditional_entropy_views,
+    conditional_mutual_information, conditional_mutual_information_views, entropy, entropy_view,
+    interaction_information, interaction_information_views, joint_entropy, joint_entropy_views,
+    mutual_information, mutual_information_views, normalized_mutual_information,
+    normalized_mutual_information_views,
 };
 pub use special::{chi2_sf, gamma_p, ln_gamma};

@@ -59,8 +59,13 @@ pub fn conditional_entropy_views(
     let mut all: Vec<ColumnView<'_>> = Vec::with_capacity(given.len() + 1);
     all.push(x);
     all.extend_from_slice(given);
-    let joint = JointTable::build_views(&all, weights);
-    let z_dims: Vec<usize> = (1..all.len()).collect();
+    conditional_entropy_of_table(&JointTable::build_views(&all, weights))
+}
+
+/// `H(X | Z) = H(X, Z) - H(Z)` of a joint table built over `[X, Z…]` with at
+/// least one `Z`: the table's first dimension given the others.
+pub fn conditional_entropy_of_table(joint: &JointTable) -> f64 {
+    let z_dims: Vec<usize> = (1..joint.n_dims()).collect();
     (joint.entropy() - joint.marginal(&z_dims).entropy()).max(0.0)
 }
 
@@ -77,10 +82,7 @@ pub fn mutual_information_views(
     y: ColumnView<'_>,
     weights: Option<&[f64]>,
 ) -> f64 {
-    let joint = JointTable::build_views(&[x, y], weights);
-    let hx = joint.marginal(&[0]).entropy();
-    let hy = joint.marginal(&[1]).entropy();
-    (hx + hy - joint.entropy()).max(0.0)
+    cmi_of_table(&JointTable::build_views(&[x, y], weights))
 }
 
 /// Conditional mutual information
@@ -108,18 +110,27 @@ pub fn conditional_mutual_information_views(
     z: &[ColumnView<'_>],
     weights: Option<&[f64]>,
 ) -> f64 {
-    if z.is_empty() {
-        return mutual_information_views(x, y, weights);
-    }
     let mut all: Vec<ColumnView<'_>> = Vec::with_capacity(z.len() + 2);
     all.push(x);
     all.push(y);
     all.extend_from_slice(z);
-    let joint = JointTable::build_views(&all, weights);
+    cmi_of_table(&JointTable::build_views(&all, weights))
+}
+
+/// `I(X; Y | Z)` of a joint table built over `[X, Y, Z…]`; a two-dimensional
+/// table gives `I(X; Y)`. [`conditional_mutual_information_views`],
+/// [`mutual_information_views`] and the G-test all compute it here, so one
+/// table yields the same bits through each.
+pub(crate) fn cmi_of_table(joint: &JointTable) -> f64 {
     if joint.is_empty() {
         return 0.0;
     }
-    let z_dims: Vec<usize> = (2..all.len()).collect();
+    if joint.n_dims() == 2 {
+        let hx = joint.marginal(&[0]).entropy();
+        let hy = joint.marginal(&[1]).entropy();
+        return (hx + hy - joint.entropy()).max(0.0);
+    }
+    let z_dims: Vec<usize> = (2..joint.n_dims()).collect();
     let xz_dims: Vec<usize> = std::iter::once(0).chain(z_dims.iter().copied()).collect();
     let yz_dims: Vec<usize> = std::iter::once(1).chain(z_dims.iter().copied()).collect();
     let h_xyz = joint.entropy();

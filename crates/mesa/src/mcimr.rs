@@ -17,9 +17,10 @@
 //! Two implementation notes on the greedy loop: the relevance term
 //! `I(O;T|E_cand)` and the pairwise redundancy terms `I(E_cand; E_i)` are
 //! memoised across rounds (each is computed exactly once per
-//! candidate/pair), and the per-candidate computations of a round run in
-//! parallel via scoped threads. Both are pure optimisations — the selected
-//! attributes and their scores are identical to the naive loop.
+//! candidate/pair), and the per-candidate computations of a round fan out
+//! over the persistent pool (`crate::parallel::parallel_map`). Both are pure
+//! optimisations — the selected attributes and their scores are identical
+//! to the naive loop.
 
 use std::collections::HashMap;
 

@@ -377,12 +377,13 @@ pub fn prepare_from_joined(
         extraction_stats.push((ej.column, ej.stats));
     }
 
-    // 3. Binning. The exposure is left unbinned only if categorical; numeric
-    //    exposures are binned like everything else (paper §2.1). The pass
-    //    also hands back the encodings it computed along the way (bin codes
-    //    of binned columns, domain-check encodings of small numeric ones).
+    // 3. Binning, in place on the joined frame. The exposure is left
+    //    unbinned only if categorical; numeric exposures are binned like
+    //    everything else (paper §2.1). The pass also hands back the
+    //    encodings it computed along the way (bin codes of binned columns,
+    //    domain-check encodings of small numeric ones).
     let (binned, bin_encodings) =
-        bin_frame_encoded(&joined, config.n_bins, config.bin_strategy, &[])?;
+        bin_frame_encoded(joined, config.n_bins, config.bin_strategy, &[])?;
 
     // 4. Encoding + candidate assembly. Binned columns flow code-to-code:
     //    their encodings were produced by the binning pass, so only the

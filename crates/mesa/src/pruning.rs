@@ -12,10 +12,26 @@
 //!   mechanically zero the CMI, Lemma A.2), and attributes with low
 //!   individual relevance (`O ⫫ E | C` and `O ⫫ E | T, C`), which the paper's
 //!   key assumption says cannot participate in a good explanation.
+//!
+//! The online phase judges each candidate `E` from at most three joint
+//! tables, each folded once over the rows, in this order:
+//!
+//! 1. `[T, E]` gives `H(T | E)`; at most `fd_epsilon` drops `E`.
+//! 2. `[O, E]` gives `H(O | E)`, which drops `E` the same way, and then the
+//!    marginal G-test `O ⫫ E`. A dependent `E` is kept without a third fold,
+//!    since it is relevant whatever the conditional test says.
+//! 3. `[O, E, T]` gives the conditional G-test `O ⫫ E | T`; independence
+//!    under both tests drops `E` as irrelevant.
+//!
+//! Candidates are judged independently, so they fan out over the persistent
+//! pool; verdicts are collected in input order.
 
-use infotheory::{CiTestConfig, EncodedFrame};
+use infotheory::{
+    ci_test_table, conditional_entropy_of_table, CiTestConfig, EncodedFrame, JointTable,
+};
 
 use crate::error::Result;
+use crate::parallel::parallel_map;
 
 /// Why an attribute was pruned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,6 +177,11 @@ pub fn prune_offline(
 }
 
 /// Runs the online (query-specific) pruning phase over `candidates`.
+///
+/// Kept and dropped candidates keep their input order. When a column is
+/// missing, the error is the one the first failing candidate (in input
+/// order) meets, looking up the exposure, the candidate and the outcome in
+/// that order.
 pub fn prune_online(
     encoded: &EncodedFrame,
     candidates: &[String],
@@ -173,34 +194,53 @@ pub fn prune_online(
         report.kept = candidates.to_vec();
         return Ok(report);
     }
-    for name in candidates {
-        // Logical dependency: the candidate (approximately) functionally
-        // determines the exposure or the outcome. Conditioning on such an
-        // attribute drives the CMI to zero mechanically (Lemma A.2 — e.g.
-        // CountryCode ⇒ Country, or Country ⇒ Continent when the exposure is
-        // the continent), so it is discarded.
-        let ht_e = encoded.conditional_entropy(exposure, &[name])?;
-        let ho_e = encoded.conditional_entropy(outcome, &[name])?;
-        let eps = config.fd_epsilon;
-        if ht_e <= eps || ho_e <= eps {
-            report
-                .dropped
-                .push((name.clone(), PruneReason::LogicalDependency));
-            continue;
+    let verdicts = parallel_map(candidates, |_, name| {
+        online_verdict(encoded, name, exposure, outcome, config)
+    });
+    for (name, verdict) in candidates.iter().zip(verdicts) {
+        match verdict? {
+            Some(reason) => report.dropped.push((name.clone(), reason)),
+            None => report.kept.push(name.clone()),
         }
-        // Low relevance: O ⫫ E | C and O ⫫ E | T, C. The context C is already
-        // baked into the prepared frame.
-        let marginal = encoded.ci_test(outcome, name, &[], None, config.ci)?;
-        let given_t = encoded.ci_test(outcome, name, &[exposure], None, config.ci)?;
-        if marginal.independent && given_t.independent {
-            report
-                .dropped
-                .push((name.clone(), PruneReason::LowRelevance));
-            continue;
-        }
-        report.kept.push(name.clone());
     }
     Ok(report)
+}
+
+/// The online verdict on one candidate: the reason to drop it, or `None` to
+/// keep it. Folds the tables of the module docs' plan, stopping at the
+/// first that decides.
+fn online_verdict(
+    encoded: &EncodedFrame,
+    name: &str,
+    exposure: &str,
+    outcome: &str,
+    config: &PruningConfig,
+) -> Result<Option<PruneReason>> {
+    let t = encoded.column(exposure)?;
+    let e = encoded.column(name)?;
+    let o = encoded.column(outcome)?;
+    // Logical dependency: the candidate (approximately) functionally
+    // determines the exposure or the outcome. Conditioning on such an
+    // attribute drives the CMI to zero mechanically (Lemma A.2 — e.g.
+    // CountryCode ⇒ Country, or Country ⇒ Continent when the exposure is
+    // the continent), so it is discarded.
+    let eps = config.fd_epsilon;
+    if conditional_entropy_of_table(&JointTable::build_views(&[t, e], None)) <= eps {
+        return Ok(Some(PruneReason::LogicalDependency));
+    }
+    let oe = JointTable::build_views(&[o, e], None);
+    if conditional_entropy_of_table(&oe) <= eps {
+        return Ok(Some(PruneReason::LogicalDependency));
+    }
+    // Low relevance: O ⫫ E | C and O ⫫ E | T, C. The context C is already
+    // baked into the prepared frame.
+    if !ci_test_table(&oe, config.ci).independent {
+        return Ok(None);
+    }
+    let oet = JointTable::build_views(&[o, e, t], None);
+    Ok(ci_test_table(&oet, config.ci)
+        .independent
+        .then_some(PruneReason::LowRelevance))
 }
 
 /// Runs both phases and merges the reports.
@@ -411,5 +451,191 @@ mod tests {
         .unwrap();
         assert!(report.kept.is_empty());
         assert_eq!(report.dropped_fraction(), 0.0);
+    }
+
+    /// The online phase as the sequential loop it replaced: both conditional
+    /// entropies and both G-tests for every candidate, through the frame's
+    /// by-name measures. The fold-once, fanned-out phase must reproduce it.
+    fn reference_prune_online(
+        encoded: &EncodedFrame,
+        candidates: &[String],
+        exposure: &str,
+        outcome: &str,
+        config: &PruningConfig,
+    ) -> Result<PruningReport> {
+        let mut report = PruningReport::default();
+        for name in candidates {
+            let ht_e = encoded.conditional_entropy(exposure, &[name])?;
+            let ho_e = encoded.conditional_entropy(outcome, &[name])?;
+            let eps = config.fd_epsilon;
+            if ht_e <= eps || ho_e <= eps {
+                report
+                    .dropped
+                    .push((name.clone(), PruneReason::LogicalDependency));
+                continue;
+            }
+            let marginal = encoded.ci_test(outcome, name, &[], None, config.ci)?;
+            let given_t = encoded.ci_test(outcome, name, &[exposure], None, config.ci)?;
+            if marginal.independent && given_t.independent {
+                report
+                    .dropped
+                    .push((name.clone(), PruneReason::LowRelevance));
+                continue;
+            }
+            report.kept.push(name.clone());
+        }
+        Ok(report)
+    }
+
+    /// Twelve online candidates over `Country` (exposure) and `Salary`
+    /// (outcome), one or more per branch of the online phase, some with
+    /// nulls so the three tables' complete-case sets differ.
+    fn online_frame() -> (EncodedFrame, Vec<String>) {
+        let n = 400;
+        let mut cols: Vec<(&str, Vec<Option<String>>)> = [
+            "Country",
+            "Salary",
+            "CountryCode",
+            "SalaryCode",
+            "GDP",
+            "GDPPartial",
+            "Lucky",
+            "Twist",
+            "Parity",
+            "Noise",
+            "NoisePartial",
+            "wikiID",
+            "TwistPartial",
+            "Region",
+        ]
+        .iter()
+        .map(|&name| (name, Vec::with_capacity(n)))
+        .collect();
+        for i in 0..n {
+            let country = i % 4;
+            let rich = country < 2;
+            let lucky = (i / 4) % 2 == 0;
+            // Independent of country and luck: a third, slower cycle.
+            let noise = (i / 8) % 3;
+            // Marginally independent of the outcome, but given the country
+            // it reveals the luck that the outcome depends on.
+            let twist = lucky ^ (country % 2 == 0);
+            let cells = [
+                Some(["DE", "IT", "NG", "KE"][country].to_string()),
+                Some(format!("{rich}-{lucky}")),
+                Some(format!("code-{country}")),
+                Some(format!("band-{rich}-{lucky}")),
+                Some(if rich { "big" } else { "small" }.to_string()),
+                (i % 7 != 0).then(|| if rich { "big" } else { "small" }.to_string()),
+                Some(lucky.to_string()),
+                Some(twist.to_string()),
+                Some((i % 2).to_string()),
+                Some(format!("n{noise}")),
+                (i % 5 != 0).then(|| format!("n{noise}")),
+                Some(format!("id-{i}")),
+                (i % 16 >= 8).then(|| twist.to_string()),
+                Some(if country % 2 == 0 { "north" } else { "south" }.to_string()),
+            ];
+            for ((_, col), cell) in cols.iter_mut().zip(cells) {
+                col.push(cell);
+            }
+        }
+        let mut builder = DataFrameBuilder::new();
+        for (name, col) in &cols {
+            builder = builder.cat(name, col.iter().map(|c| c.as_deref()).collect());
+        }
+        let encoded = EncodedFrame::from_frame(&builder.build().unwrap());
+        let candidates = cols[2..].iter().map(|(n, _)| n.to_string()).collect();
+        (encoded, candidates)
+    }
+
+    #[test]
+    fn online_phase_matches_the_six_fold_loop_at_every_thread_count() {
+        crate::parallel::set_threads(4);
+        let (mut encoded, candidates) = online_frame();
+        let config = PruningConfig::default();
+        let reference =
+            reference_prune_online(&encoded, &candidates, "Country", "Salary", &config).unwrap();
+        // Every branch of the online phase is exercised.
+        let reason = |name: &str| {
+            reference
+                .dropped
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, r)| *r)
+        };
+        // FD on the exposure, and on the outcome only.
+        assert_eq!(reason("CountryCode"), Some(PruneReason::LogicalDependency));
+        assert_eq!(reason("SalaryCode"), Some(PruneReason::LogicalDependency));
+        assert!(
+            encoded
+                .conditional_entropy("Country", &["SalaryCode"])
+                .unwrap()
+                > 0.5
+        );
+        assert_eq!(reason("Noise"), Some(PruneReason::LowRelevance));
+        assert_eq!(reason("Parity"), Some(PruneReason::LowRelevance));
+        // Kept by marginal dependence, and only by conditional dependence.
+        assert!(reference.kept.contains(&"GDP".to_string()));
+        assert!(reference.kept.contains(&"Twist".to_string()));
+        let ci = config.ci;
+        assert!(
+            encoded
+                .ci_test("Salary", "Twist", &[], None, ci)
+                .unwrap()
+                .independent
+        );
+        assert!(
+            !encoded
+                .ci_test("Salary", "Twist", &["Country"], None, ci)
+                .unwrap()
+                .independent
+        );
+        assert_eq!(
+            reference.kept.len() + reference.dropped.len(),
+            candidates.len()
+        );
+
+        for sealed in [false, true] {
+            if sealed {
+                encoded.seal();
+            }
+            for cap in [1, 2, 4] {
+                let report = crate::parallel::with_thread_cap(cap, || {
+                    prune_online(&encoded, &candidates, "Country", "Salary", &config)
+                })
+                .unwrap();
+                assert_eq!(report.kept, reference.kept, "cap {cap}, sealed {sealed}");
+                assert_eq!(
+                    report.dropped, reference.dropped,
+                    "cap {cap}, sealed {sealed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn online_phase_reports_the_same_missing_column_error() {
+        crate::parallel::set_threads(4);
+        let (encoded, mut candidates) = online_frame();
+        let config = PruningConfig::default();
+        candidates.insert(5, "nope".to_string());
+        candidates.push("gone".to_string());
+        let cases = [
+            ("Country", "Salary"),
+            ("NoSuchExposure", "Salary"),
+            ("Country", "NoSuchOutcome"),
+        ];
+        for (exposure, outcome) in cases {
+            let want = reference_prune_online(&encoded, &candidates, exposure, outcome, &config)
+                .unwrap_err();
+            for cap in [1, 2, 4] {
+                let got = crate::parallel::with_thread_cap(cap, || {
+                    prune_online(&encoded, &candidates, exposure, outcome, &config)
+                })
+                .unwrap_err();
+                assert_eq!(got, want, "{exposure}/{outcome} at cap {cap}");
+            }
+        }
     }
 }

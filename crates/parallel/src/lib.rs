@@ -1,8 +1,9 @@
 //! # parallel
 //!
 //! The persistent work-sharing runtime behind every parallel hot path in
-//! the reproduction: per-entity KG extraction, MCIMR candidate scoring,
-//! `explain_many` batch fan-out, and the selection-bias analysis.
+//! the reproduction: per-entity KG extraction, online pruning, MCIMR
+//! candidate scoring, `explain_many` batch fan-out, and the selection-bias
+//! analysis.
 //!
 //! [`parallel_map`] keeps the contract the old scoped-thread chunker had —
 //! results assembled in input order, panics propagated, auto-serial for
@@ -37,16 +38,25 @@
 //! cargo feature the `faults` registry arms named injection points
 //! (declared with [`fault_point!`]) to panic, inject latency, or simulate
 //! allocation failure deterministically on the Nth hit.
+//!
+//! ## Memory
+//!
+//! Work spread over the pool's threads frees its memory into several
+//! allocator heaps, which keep freed pages resident (see [`memory`] module
+//! docs). [`release_free_memory`] hands them back; `mesa` calls it when a
+//! session that held a large memo is dropped.
 
 #![deny(missing_docs)]
 
 pub mod deadline;
 #[cfg(feature = "fault-injection")]
 pub mod faults;
+pub mod memory;
 pub mod pool;
 pub mod scoped;
 
 pub use deadline::{checkpoint, current_deadline, with_deadline, Cancelled, Deadline};
+pub use memory::release_free_memory;
 pub use pool::{effective_threads, set_threads, with_thread_cap};
 pub use scoped::scoped_map;
 

@@ -5,9 +5,14 @@
 //! binned first (the paper: "To handle a numerical exposure, one may bin this
 //! attribute"; "For simplicity, numerical attributes are assumed to be
 //! binned").
+//!
+//! A NaN cell is binned as missing, like an empty cell: it takes no part in
+//! the bin edges or in the decision whether a column needs binning, and a
+//! numeric column that [`bin_frame`] leaves unbinned has it set to null.
 
 use std::borrow::Cow;
 
+use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnData, EncodedColumn};
 use crate::dataframe::DataFrame;
 use crate::error::{Result, TabularError};
@@ -43,8 +48,8 @@ fn f64_view(column: &Column) -> Cow<'_, [Option<f64>]> {
 }
 
 /// Bins a numeric column into `n_bins` integer-coded bins (0-based), keeping
-/// nulls as nulls. Non-numeric columns are returned unchanged (they are
-/// already discrete).
+/// nulls (and NaN cells) as nulls. Non-numeric columns are returned
+/// unchanged (they are already discrete).
 pub fn bin_column(column: &Column, n_bins: usize, strategy: BinStrategy) -> Result<Column> {
     Ok(bin_column_impl(column, n_bins, strategy, false)?.0)
 }
@@ -83,58 +88,56 @@ fn bin_column_impl(
         return Ok((column.clone(), None));
     }
     let values = f64_view(column);
+    let n = values.len();
     let edges = match bin_edges(&values, n_bins, strategy) {
         Some(edges) => edges,
         // Entirely missing: every row is null in the binned column too.
         None => {
-            let out = Column::from_i64(column.name(), vec![None; column.len()]);
+            let out = Column::from_i64(column.name(), vec![None; n]);
             let encoded = want_codes.then(|| {
-                EncodedColumn::from_option_codes(
-                    std::iter::repeat_n(None, column.len()),
-                    Vec::new(),
-                )
+                EncodedColumn::from_parts(vec![0; n], Bitmap::new_all_unset(n), Vec::new())
             });
             return Ok((out, encoded));
         }
     };
-    // Assign bins and build the first-appearance code remap in one pass.
-    let mut binned: Vec<Option<i64>> = Vec::with_capacity(values.len());
-    let mut codes: Vec<Option<u32>> = Vec::with_capacity(if want_codes { values.len() } else { 0 });
-    let mut remap: Vec<Option<u32>> = vec![None; edges.len() + 1];
+    // Assign bins and build the first-appearance code remap in one pass,
+    // writing the codes and the validity bitmap directly.
+    const UNSEEN: u32 = u32::MAX;
+    let mut binned: Vec<Option<i64>> = Vec::with_capacity(n);
+    let mut codes: Vec<u32> = Vec::with_capacity(if want_codes { n } else { 0 });
+    let mut validity = Bitmap::new_all_set(if want_codes { n } else { 0 });
+    let mut remap: Vec<u32> = vec![UNSEEN; edges.len() + 1];
     let mut labels: Vec<String> = Vec::new();
-    for v in values.iter() {
-        match v {
+    for (row, v) in values.iter().enumerate() {
+        match v.filter(|v| !v.is_nan()) {
             None => {
                 binned.push(None);
                 if want_codes {
-                    codes.push(None);
+                    codes.push(0);
+                    validity.clear(row);
                 }
             }
             Some(v) => {
-                let bin = assign_bin(*v, &edges);
+                let bin = assign_bin(v, &edges);
                 binned.push(Some(bin as i64));
                 if want_codes {
                     let slot = &mut remap[bin];
-                    let code = match *slot {
-                        Some(code) => code,
-                        None => {
-                            let code = labels.len() as u32;
-                            labels.push((bin as i64).to_string());
-                            *slot = Some(code);
-                            code
-                        }
-                    };
-                    codes.push(Some(code));
+                    if *slot == UNSEEN {
+                        *slot = labels.len() as u32;
+                        labels.push(bin.to_string());
+                    }
+                    codes.push(*slot);
                 }
             }
         }
     }
-    let encoded = want_codes.then(|| EncodedColumn::from_option_codes(codes, labels));
+    let encoded = want_codes.then(|| EncodedColumn::from_parts(codes, validity, labels));
     Ok((Column::from_i64(column.name(), binned), encoded))
 }
 
 /// Computes the interior bin edges (length `≤ n_bins - 1`, sorted ascending)
-/// of a numeric view, or `None` when it has no present values.
+/// of a numeric view, or `None` when it has no present values. NaN cells
+/// count as missing.
 ///
 /// Equal-width edges come from a single borrowed min/max scan (no gather at
 /// all); the equal-frequency path gathers and sorts the present values once
@@ -145,9 +148,9 @@ fn bin_edges(values: &[Option<f64>], n_bins: usize, strategy: BinStrategy) -> Op
             let mut min = f64::INFINITY;
             let mut max = f64::NEG_INFINITY;
             let mut any = false;
-            for v in values.iter().flatten() {
-                min = min.min(*v);
-                max = max.max(*v);
+            for v in present(values) {
+                min = min.min(v);
+                max = max.max(v);
                 any = true;
             }
             if !any {
@@ -160,11 +163,7 @@ fn bin_edges(values: &[Option<f64>], n_bins: usize, strategy: BinStrategy) -> Op
             Some((1..n_bins).map(|i| min + width * i as f64).collect())
         }
         BinStrategy::EqualFrequency => {
-            let mut sorted: Vec<f64> = values.iter().copied().flatten().collect();
-            if sorted.is_empty() {
-                return None;
-            }
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            let sorted = sorted_present(values)?;
             let mut edges: Vec<f64> = (1..n_bins)
                 .map(|i| interpolate_sorted(&sorted, i as f64 / n_bins as f64))
                 .collect();
@@ -174,12 +173,38 @@ fn bin_edges(values: &[Option<f64>], n_bins: usize, strategy: BinStrategy) -> Op
     }
 }
 
-/// Returns the 0-based bin index of a value given interior edges.
-fn assign_bin(value: f64, edges: &[f64]) -> usize {
-    edges.iter().take_while(|&&e| value > e).count()
+/// The present values of a numeric view: neither null nor NaN.
+fn present(values: &[Option<f64>]) -> impl Iterator<Item = f64> + '_ {
+    values.iter().flatten().copied().filter(|v| !v.is_nan())
 }
 
-/// Bins every numeric column of the frame (in place on a clone), leaving
+/// The present values of a numeric view in ascending order, or `None` when
+/// there are none. Without NaN, [`f64::total_cmp`] orders like `<` except
+/// that it puts `-0.0` before `0.0`.
+fn sorted_present(values: &[Option<f64>]) -> Option<Vec<f64>> {
+    let mut sorted: Vec<f64> = present(values).collect();
+    if sorted.is_empty() {
+        return None;
+    }
+    sorted.sort_unstable_by(f64::total_cmp);
+    Some(sorted)
+}
+
+/// Returns the 0-based bin index of a value given interior edges: the number
+/// of leading edges it exceeds, as `take_while(|&&e| value > e).count()`
+/// would count them, but without a data-dependent branch.
+#[inline]
+fn assign_bin(value: f64, edges: &[f64]) -> usize {
+    let mut bin = 0;
+    let mut above = true;
+    for &e in edges {
+        above &= value > e;
+        bin += usize::from(above);
+    }
+    bin
+}
+
+/// Bins every numeric column of a copy of the frame, leaving
 /// categorical/boolean columns and any column named in `exclude` untouched.
 ///
 /// Columns with at most `n_bins` distinct values are also left untouched —
@@ -190,17 +215,18 @@ pub fn bin_frame(
     strategy: BinStrategy,
     exclude: &[&str],
 ) -> Result<DataFrame> {
-    Ok(bin_frame_impl(df, n_bins, strategy, exclude, false)?.0)
+    Ok(bin_frame_impl(df.clone(), n_bins, strategy, exclude, false)?.0)
 }
 
-/// Like [`bin_frame`], additionally returning a discrete encoding for every
-/// *numeric* non-excluded column: the bin codes emitted while binning, or —
-/// when the column was left untouched because its domain already fits in
-/// `n_bins` — an ordinary [`Column::encode`] pass (cheap at that
-/// cardinality). Callers building an encoded view of the result (MESA's
-/// `prepare_query`) reuse these instead of re-encoding from scratch.
+/// Like [`bin_frame`], but binning the frame it takes in place, and
+/// additionally returning a discrete encoding for every *numeric*
+/// non-excluded column: the bin codes emitted while binning, or — when the
+/// column was left untouched because its domain already fits in `n_bins` —
+/// an ordinary [`Column::encode`] pass (cheap at that cardinality). Callers
+/// building an encoded view of the result (MESA's `prepare_query`) reuse
+/// these instead of re-encoding from scratch.
 pub fn bin_frame_encoded(
-    df: &DataFrame,
+    df: DataFrame,
     n_bins: usize,
     strategy: BinStrategy,
     exclude: &[&str],
@@ -208,12 +234,12 @@ pub fn bin_frame_encoded(
     bin_frame_impl(df, n_bins, strategy, exclude, true)
 }
 
-/// Whether a numeric column has more than `n_bins` distinct non-null values,
-/// using the same key semantics as [`Column::encode`] (exact `i64`/`bool`
-/// values; floats by canonical bit pattern, `-0.0 ≡ 0.0`) but without
-/// rendering a single label — the scan stops as soon as the threshold is
-/// exceeded, so high-cardinality columns (the ones that will be binned) never
-/// pay for a full dictionary encode just to decide that.
+/// Whether a numeric column has more than `n_bins` distinct present values
+/// (neither null nor NaN), keyed as [`Column::encode`] keys them (exact
+/// `i64`/`bool` values; floats by canonical bit pattern, `-0.0 ≡ 0.0`) but
+/// without rendering a single label — the scan stops as soon as the
+/// threshold is exceeded, so high-cardinality columns (the ones that will be
+/// binned) never pay for a full dictionary encode just to decide that.
 fn distinct_exceeds(column: &Column, n_bins: usize) -> bool {
     fn over<K: std::hash::Hash + Eq, I: Iterator<Item = Option<K>>>(cells: I, n: usize) -> bool {
         let mut seen = std::collections::HashSet::with_capacity(n + 1);
@@ -229,7 +255,7 @@ fn distinct_exceeds(column: &Column, n_bins: usize) -> bool {
         ColumnData::Bool(v) => over(v.iter().copied(), n_bins),
         ColumnData::Float(v) => over(
             v.iter().map(|x| {
-                x.map(|x| {
+                x.filter(|x| !x.is_nan()).map(|x| {
                     if x == 0.0 {
                         0.0f64.to_bits()
                     } else {
@@ -244,51 +270,63 @@ fn distinct_exceeds(column: &Column, n_bins: usize) -> bool {
     }
 }
 
-/// Shared frame-binning core; when `want_codes` is false no encodings are
-/// built or collected (plain [`bin_frame`] callers skip that cost entirely).
+/// Shared frame-binning core: replaces each binned column of `df` in place
+/// (the column it replaces is freed at once). When `want_codes` is false no
+/// encodings are built or collected (plain [`bin_frame`] callers skip that
+/// cost entirely).
 fn bin_frame_impl(
-    df: &DataFrame,
+    mut df: DataFrame,
     n_bins: usize,
     strategy: BinStrategy,
     exclude: &[&str],
     want_codes: bool,
 ) -> Result<(DataFrame, Vec<(String, EncodedColumn)>)> {
-    let mut out = df.clone();
     let mut encodings: Vec<(String, EncodedColumn)> = Vec::new();
-    for col in df.columns() {
+    for col in df.columns_mut() {
         if exclude.contains(&col.name()) || !col.dtype().is_numeric() {
             continue;
         }
         if !distinct_exceeds(col, n_bins) {
-            // Domain already fits: the column stays unbinned, and (when
+            // Domain already fits: the column stays unbinned, with its NaN
+            // cells nulled so that they read as missing here too, and (when
             // requested) its ordinary encoding — cheap at this cardinality —
             // is exactly its final encoding.
+            null_nans(col)?;
             if want_codes {
                 encodings.push((col.name().to_string(), col.encode()));
             }
             continue;
         }
+        // The binned column keeps the name and the length, as
+        // `columns_mut` requires.
         let (binned, bin_codes) = bin_column_impl(col, n_bins, strategy, want_codes)?;
         if let Some(bin_codes) = bin_codes {
             encodings.push((col.name().to_string(), bin_codes));
         }
-        out.set_column(binned)?;
+        *col = binned;
     }
-    Ok((out, encodings))
+    Ok((df, encodings))
 }
 
-/// Quantile helper: the q-quantile (0..=1) of the non-null numeric view of a
-/// column, using linear interpolation. Returns `None` when empty.
+/// Sets the NaN cells of a float column to null.
+fn null_nans(column: &mut Column) -> Result<()> {
+    let rows: Vec<usize> = match column.data() {
+        ColumnData::Float(v) => (0..v.len())
+            .filter(|&i| v[i].is_some_and(f64::is_nan))
+            .collect(),
+        _ => Vec::new(),
+    };
+    rows.into_iter().try_for_each(|row| column.set_null(row))
+}
+
+/// Quantile helper: the q-quantile (0..=1) of the non-null, non-NaN numeric
+/// view of a column, using linear interpolation. Returns `None` when empty.
 pub fn quantile(column: &Column, q: f64) -> Option<f64> {
     if !(0.0..=1.0).contains(&q) {
         return None;
     }
-    let mut present: Vec<f64> = f64_view(column).iter().copied().flatten().collect();
-    if present.is_empty() {
-        return None;
-    }
-    present.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    Some(interpolate_sorted(&present, q))
+    let sorted = sorted_present(&f64_view(column))?;
+    Some(interpolate_sorted(&sorted, q))
 }
 
 #[cfg(test)]
@@ -413,7 +451,7 @@ mod tests {
             .cat("cat", (0..50).map(|_| Some("x")).collect())
             .build()
             .unwrap();
-        let (out, encodings) = bin_frame_encoded(&df, 5, BinStrategy::EqualFrequency, &[]).unwrap();
+        let (out, encodings) = bin_frame_encoded(df, 5, BinStrategy::EqualFrequency, &[]).unwrap();
         let names: Vec<&str> = encodings.iter().map(|(n, _)| n.as_str()).collect();
         // both numeric columns get encodings (binned and domain-checked), the
         // categorical one does not
@@ -441,5 +479,159 @@ mod tests {
                 }
             }
         }
+    }
+    /// A small deterministic generator for the tests below (64-bit LCG).
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 33
+    }
+
+    #[test]
+    fn by_value_bin_frame_encoded_matches_bin_frame_then_encode() {
+        let mut state = 7;
+        let n = 300;
+        let df = DataFrameBuilder::new()
+            .float(
+                "f",
+                (0..n)
+                    .map(|i| (i % 9 != 0).then(|| (lcg(&mut state) % 1000) as f64 / 7.0))
+                    .collect(),
+            )
+            .int(
+                "i",
+                (0..n)
+                    .map(|i| (i % 11 != 3).then(|| (lcg(&mut state) % 500) as i64 - 250))
+                    .collect(),
+            )
+            .int("small", (0..n).map(|i| Some(i as i64 % 3)).collect())
+            .float("skip", (0..n).map(|i| Some(i as f64)).collect())
+            .float("empty", vec![None; n])
+            .boolean("b", (0..n).map(|i| Some(i % 2 == 0)).collect())
+            .cat("c", (0..n).map(|i| Some(["x", "y", "z"][i % 3])).collect())
+            .build()
+            .unwrap();
+        for strategy in [BinStrategy::EqualWidth, BinStrategy::EqualFrequency] {
+            let reference = bin_frame(&df, 5, strategy, &["skip"]).unwrap();
+            let (out, encodings) = bin_frame_encoded(df.clone(), 5, strategy, &["skip"]).unwrap();
+            assert_eq!(out, reference, "{strategy:?}");
+            // Column order is kept; "empty" (an all-null float column) has
+            // no domain to exceed, so it stays unbinned but encoded, and the
+            // bool and categorical columns are not numeric.
+            let names: Vec<&str> = out.columns().map(|c| c.name()).collect();
+            assert_eq!(names, vec!["f", "i", "small", "skip", "empty", "b", "c"]);
+            let want: Vec<(String, EncodedColumn)> = ["f", "i", "small", "empty"]
+                .iter()
+                .map(|&c| (c.to_string(), reference.column(c).unwrap().encode()))
+                .collect();
+            assert_eq!(encodings, want, "{strategy:?}");
+            assert_eq!(out.column("f").unwrap().dtype(), DType::Int);
+            assert_eq!(out.column("skip").unwrap(), df.column("skip").unwrap());
+        }
+    }
+
+    #[test]
+    fn assign_bin_counts_the_edges_a_value_exceeds() {
+        let inf = f64::INFINITY;
+        let edge_sets: [&[f64]; 8] = [
+            &[],
+            &[1.0],
+            &[1.0, 1.0, 2.0],
+            &[-0.0, 0.0, 0.0, 3.5],
+            &[-inf, 0.0, inf],
+            &[-inf, -inf, -1.0, 2.0, 2.0, inf, inf],
+            &[0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5, 8.5],
+            &[f64::MIN, -1e-300, 1e-300, f64::MAX],
+        ];
+        let values = [
+            -inf,
+            f64::MIN,
+            -3.0,
+            -1.0,
+            -1e-300,
+            -0.0,
+            0.0,
+            1e-300,
+            0.5,
+            1.0,
+            1.5,
+            2.0,
+            3.5,
+            8.5,
+            9.0,
+            f64::MAX,
+            inf,
+        ];
+        for edges in edge_sets {
+            for value in values.iter().chain(edges.iter()) {
+                let want = edges.iter().take_while(|&&e| *value > e).count();
+                assert_eq!(assign_bin(*value, edges), want, "{value} over {edges:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn nan_cells_bin_as_missing_wherever_they_sit() {
+        // Sorting with a partial order on NaN could panic or depend on where
+        // the NaNs sit; every trial must instead bin as if they were nulls.
+        let mut state = 42;
+        for trial in 0..200 {
+            let n = 40 + trial % 60;
+            let mut with_nan: Vec<Option<f64>> = Vec::with_capacity(n);
+            let mut with_null: Vec<Option<f64>> = Vec::with_capacity(n);
+            for _ in 0..n {
+                let v = (lcg(&mut state) % 50) as f64 - 10.0;
+                match lcg(&mut state) % 6 {
+                    0 | 1 => {
+                        with_nan.push(Some(f64::NAN));
+                        with_null.push(None);
+                    }
+                    2 => {
+                        with_nan.push(None);
+                        with_null.push(None);
+                    }
+                    _ => {
+                        with_nan.push(Some(v));
+                        with_null.push(Some(v));
+                    }
+                }
+            }
+            // A small domain leaves the column unbinned in a frame.
+            let small = |cells: &[Option<f64>]| {
+                let cells = cells.iter().map(|c| c.map(|v| v.rem_euclid(3.0)));
+                Column::from_f64("small", cells.collect())
+            };
+            let (nan_small, null_small) = (small(&with_nan), small(&with_null));
+            let nan_col = Column::from_f64("x", with_nan);
+            let null_col = Column::from_f64("x", with_null);
+            for strategy in [BinStrategy::EqualWidth, BinStrategy::EqualFrequency] {
+                let got = bin_column_encoded(&nan_col, 4, strategy).unwrap();
+                let want = bin_column_encoded(&null_col, 4, strategy).unwrap();
+                assert_eq!(got, want, "trial {trial} {strategy:?}");
+                let got = bin_frame_encoded(
+                    DataFrame::from_columns(vec![nan_col.clone(), nan_small.clone()]).unwrap(),
+                    4,
+                    strategy,
+                    &[],
+                )
+                .unwrap();
+                let want = bin_frame_encoded(
+                    DataFrame::from_columns(vec![null_col.clone(), null_small.clone()]).unwrap(),
+                    4,
+                    strategy,
+                    &[],
+                )
+                .unwrap();
+                assert_eq!(got, want, "trial {trial} {strategy:?}");
+                assert_eq!(got.0.column("small").unwrap().dtype(), DType::Float);
+            }
+            assert_eq!(quantile(&nan_col, 0.5), quantile(&null_col, 0.5));
+        }
+        // A column of NaNs only is entirely missing.
+        let all_nan = Column::from_f64("x", vec![Some(f64::NAN); 5]);
+        let b = bin_column(&all_nan, 4, BinStrategy::EqualFrequency).unwrap();
+        assert_eq!(b.null_count(), 5);
+        assert_eq!(quantile(&all_nan, 0.5), None);
     }
 }

@@ -84,6 +84,13 @@ impl DataFrame {
         self.columns.iter()
     }
 
+    /// Mutably iterates all columns in order. Crate-internal: a caller must
+    /// leave every column's name and length as they are, since the name
+    /// index and the row count rely on them.
+    pub(crate) fn columns_mut(&mut self) -> impl Iterator<Item = &mut Column> {
+        self.columns.iter_mut()
+    }
+
     /// Appends a new column. Its length must match the frame (unless the frame
     /// has no columns yet) and its name must be unique.
     pub fn add_column(&mut self, column: Column) -> Result<()> {

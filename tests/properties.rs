@@ -5,9 +5,13 @@
 use proptest::prelude::*;
 
 use mesa_repro::infotheory::{
-    conditional_entropy, conditional_mutual_information, entropy, joint_entropy, mutual_information,
+    ci_test_table, ci_test_views, conditional_entropy, conditional_mutual_information,
+    conditional_mutual_information_views, entropy, joint_entropy, mutual_information, CiTestConfig,
+    JointTable,
 };
-use mesa_repro::tabular::{bin_column, BinStrategy, Column, DataFrame, Value};
+use mesa_repro::tabular::{
+    bin_column, BinStrategy, Column, ColumnView, DataFrame, EncodedColumn, Value,
+};
 
 /// Strategy: a small categorical column as integer codes in 0..card.
 fn coded_column(len: usize, card: u32) -> impl Strategy<Value = Vec<u32>> {
@@ -134,5 +138,53 @@ proptest! {
         for (i, &v) in values.iter().enumerate() {
             prop_assert_eq!(back.get(i, "x").unwrap(), Value::Int(v));
         }
+    }
+
+    /// `ci_test_views` takes its CMI from the joint table it builds for the
+    /// degrees of freedom: bit for bit the standalone CMI, and the G-test of
+    /// that table, over plain and sealed columns, weighted and unweighted
+    /// rows, 0–2 conditioning columns, nulls, all-null columns, and dense
+    /// and (at high cardinality) sparse tables.
+    #[test]
+    fn ci_test_cmi_is_the_standalone_cmi_bitwise(
+        cells in prop::collection::vec(prop::collection::vec(0u32..=40, 60), 4),
+        ws in prop::collection::vec(0.0f64..4.0, 60),
+        shape in (0usize..3, 0u8..2, 0u8..16, 0u8..2, 0usize..6),
+    ) {
+        let (n_cond, weighted, sealed_mask, high, all_null) = shape;
+        // 40 × 40 cells exceed the dense threshold of 60 rows (8 · 60 + 1024).
+        let cards: [u32; 4] = if high == 1 { [40, 40, 3, 2] } else { [4, 3, 3, 2] };
+        let cols: Vec<EncodedColumn> = cells
+            .iter()
+            .zip(cards)
+            .enumerate()
+            .map(|(i, (cells, card))| {
+                let labels = (0..card).map(|c| format!("v{c}")).collect();
+                let codes = cells.iter().map(|&v| {
+                    // Cell 0 is missing; column `all_null` is missing throughout.
+                    v.checked_sub(1).filter(|_| i != all_null).map(|c| c % card)
+                });
+                EncodedColumn::from_option_codes(codes, labels)
+            })
+            .collect();
+        let sealed: Vec<_> = cols.iter().map(|c| c.seal()).collect();
+        let views: Vec<ColumnView<'_>> = (0..4)
+            .map(|i| {
+                if sealed_mask & (1 << i) != 0 {
+                    ColumnView::Sealed(&sealed[i])
+                } else {
+                    ColumnView::Plain(&cols[i])
+                }
+            })
+            .collect();
+        let weights = (weighted == 1).then_some(ws.as_slice());
+        let config = CiTestConfig::default();
+        let z = &views[2..2 + n_cond];
+        let test = ci_test_views(views[0], views[1], z, weights, config);
+        let cmi = conditional_mutual_information_views(views[0], views[1], z, weights);
+        prop_assert_eq!(test.cmi.to_bits(), cmi.to_bits());
+        let table = JointTable::build_views(&views[..2 + n_cond], weights);
+        prop_assert_eq!(table.is_dense(), high == 0);
+        prop_assert_eq!(ci_test_table(&table, config), test);
     }
 }
