@@ -12,9 +12,10 @@
 //!   `bitpacked`, `delta`, or `dense`). `<dataset>/footprint/total/*` sums
 //!   the per-column payloads.
 //! * `<dataset>/kernel/<measure>_{dense,sealed}` — wall-clock milliseconds
-//!   for the same estimate computed over the mutable frame (dense reference
-//!   oracle) and the sealed frame (run-aware fold). The two are
-//!   bit-identical in value; only the storage the kernel reads differs.
+//!   for the same estimate computed over a mutable frame encoded afresh
+//!   from the prepared one (plain codes) and over the prepared frame, which
+//!   preparation seals (run-aware fold). The two are bit-identical in value;
+//!   only the storage the kernel reads differs.
 //!
 //! The committed copy is the paper-scale (`MESA_SCALE=paper`) baseline: it
 //! is the record of the footprint reduction sealing buys on the session's
@@ -24,6 +25,7 @@
 use bench::report::BenchReport;
 use bench::{prepare_workload, ExperimentData, Scale};
 use datagen::representative_queries;
+use infotheory::EncodedFrame;
 
 fn main() {
     let scale = Scale::from_env();
@@ -39,9 +41,9 @@ fn main() {
         };
         let name = dataset.name();
         let prepared = prepare_workload(&data, wq).expect("prepare");
-        let mutable = prepared.encoded.clone();
-        let mut sealed = prepared.encoded.clone();
-        sealed.seal();
+        let mutable = EncodedFrame::from_frame(&prepared.frame);
+        assert!(!mutable.is_sealed(), "the dense frame must stay unsealed");
+        let sealed = &prepared.encoded;
         let rows = sealed.n_rows();
 
         // Per-column byte accounting from the sealing decisions.

@@ -144,15 +144,16 @@ fn main() {
     // Cache accounting for the primed session set.
     println!("\nsession cache stats after the workload:");
     for (dataset, _) in &groups {
-        let stats = sessions.session(*dataset).stats();
+        let stats = sessions.session(*dataset).cache_stats();
+        let extraction = stats.extraction.unwrap_or_default();
         println!(
             "  {:<14} extraction {} entries ({} hits / {} misses), prepared {} memoized, reports {} memoized",
             dataset.name(),
-            stats.extraction_entries,
-            stats.extraction_hits,
-            stats.extraction_misses,
-            stats.prepared_misses,
-            stats.report_misses,
+            extraction.entries,
+            extraction.hits,
+            extraction.misses,
+            stats.prepared.misses,
+            stats.reports.misses,
         );
     }
 

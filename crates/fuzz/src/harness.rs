@@ -11,7 +11,7 @@
 
 use std::borrow::Borrow;
 
-use infotheory::kernel::{accumulate_views, try_accumulate, Accumulated};
+use infotheory::kernel::{accumulate, reference_accumulate, Accumulated};
 use mesa::{report_summary, Mesa, MesaError, MesaReport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -274,11 +274,13 @@ fn canonical(acc: &Accumulated) -> (Vec<(Vec<u32>, u64)>, u64, usize) {
     (cells, acc.total.to_bits(), acc.complete_cases)
 }
 
-/// Oracle 3: sealed ≡ dense ≡ sparse kernel counts, bitwise. Samples a few
-/// 2–3 column tuples from the frame and accumulates each through the dense
-/// path (huge cell budget), the sparse path (zero budget), and the sealed
-/// path (both budgets), unweighted and — for a seed-chosen half of the
-/// scenarios — with a zero-containing weight vector.
+/// Oracle 3: sealed ≡ plain ≡ reference kernel counts, bitwise, in both
+/// layouts. Samples a few 2–3 column tuples from the frame and, under the
+/// dense (huge cell budget) and sparse (zero budget) layouts, folds each
+/// through the reference fold and through the production fold over the
+/// sealed columns (segment or block fold) and over the plain ones (block
+/// fold), unweighted and — for a seed-chosen half of the scenarios — with a
+/// zero-containing weight vector.
 fn kernel_equivalence(scenario: &Scenario, sabotage: Sabotage) -> Result<(), OracleFailure> {
     const FAMILY: &str = "kernel-equivalence";
     let encoded: Vec<tabular::EncodedColumn> = scenario.df.columns().map(|c| c.encode()).collect();
@@ -307,47 +309,49 @@ fn kernel_equivalence(scenario: &Scenario, sabotage: Sabotage) -> Result<(), Ora
         }
         let refs: Vec<&tabular::EncodedColumn> = idx.iter().map(|&i| &encoded[i]).collect();
         let sealed: Vec<SealedColumn> = refs.iter().map(|e| e.seal()).collect();
-        let views: Vec<ColumnView<'_>> = sealed.iter().map(ColumnView::from).collect();
+        let sealed_views: Vec<ColumnView<'_>> = sealed.iter().map(ColumnView::from).collect();
+        let plain_views: Vec<ColumnView<'_>> = refs.iter().map(|&e| e.into()).collect();
 
         for (budget_name, budget) in [("dense", 1usize << 22), ("sparse", 0usize)] {
-            let plain = match try_accumulate(&refs, weights.as_deref(), budget) {
-                Ok(acc) => acc,
-                Err(e) => {
-                    return Err(fail(
+            let fold = |name: &str, result: Result<Accumulated, tabular::TabularError>| {
+                result.map(|acc| canonical(&acc)).map_err(|e| {
+                    fail(
                         FAMILY,
-                        format!("accumulate({budget_name}) rejected valid input: {e:?}"),
-                    ))
-                }
+                        format!("{name} fold ({budget_name}) rejected valid input: {e:?}"),
+                    )
+                })
             };
-            let via_sealed = accumulate_views(&views, weights.as_deref(), budget);
-            let reference = canonical(&plain);
-            let mut sealed_canonical = canonical(&via_sealed);
+            let w = weights.as_deref();
+            let reference = fold("reference", reference_accumulate(&refs, w, budget))?;
+            let via_plain = fold("plain", accumulate(&plain_views, w, budget))?;
+            let mut via_sealed = fold("sealed", accumulate(&sealed_views, w, budget))?;
             if sabotage == Sabotage::Sealed {
-                match sealed_canonical.0.first_mut() {
+                match via_sealed.0.first_mut() {
                     Some(cell) => cell.1 = f64::from_bits(cell.1).mul_add(1.0, 1.0).to_bits(),
-                    None => sealed_canonical.0.push((vec![0; size], 1.0f64.to_bits())),
+                    None => via_sealed.0.push((vec![0; size], 1.0f64.to_bits())),
                 }
             }
-            if reference != sealed_canonical {
-                return Err(fail(
-                    FAMILY,
-                    format!(
-                        "sealed != {budget_name} for columns {:?} (weights: {}): {} vs {} cells, totals {:x} vs {:x}",
-                        idx,
-                        weights.is_some(),
-                        reference.0.len(),
-                        sealed_canonical.0.len(),
-                        reference.1,
-                        sealed_canonical.1,
-                    ),
-                ));
+            for (path, got) in [("plain", via_plain), ("sealed", via_sealed)] {
+                if got != reference {
+                    return Err(fail(
+                        FAMILY,
+                        format!(
+                            "{path} != reference ({budget_name}) for columns {idx:?} (weights: {}): {} vs {} cells, totals {:x} vs {:x}",
+                            weights.is_some(),
+                            got.0.len(),
+                            reference.0.len(),
+                            got.1,
+                            reference.1,
+                        ),
+                    ));
+                }
             }
         }
 
-        // Dense and sparse budgets of the plain path must agree with each
+        // Dense and sparse budgets of the reference must agree with each
         // other too (the crossover itself must be invisible).
-        let dense = canonical(&try_accumulate(&refs, weights.as_deref(), 1 << 22).unwrap());
-        let sparse = canonical(&try_accumulate(&refs, weights.as_deref(), 0).unwrap());
+        let dense = canonical(&reference_accumulate(&refs, weights.as_deref(), 1 << 22).unwrap());
+        let sparse = canonical(&reference_accumulate(&refs, weights.as_deref(), 0).unwrap());
         if dense != sparse {
             return Err(fail(
                 FAMILY,

@@ -5,7 +5,8 @@
 //!
 //! Every layer of the system carries a byte-identity or equivalence
 //! invariant — warm ≡ cold ≡ batched sessions, `join` ≡ `join_rendered`,
-//! sealed ≡ dense ≡ sparse kernel counts, thread caps 1/2/4 byte-identical,
+//! sealed ≡ plain ≡ reference-fold kernel counts in both table layouts,
+//! thread caps 1/2/4 byte-identical,
 //! fault-injected-then-recovered ≡ fresh, and fingerprint non-aliasing.
 //! Historically those were locked only over the three fixed paper datasets;
 //! this crate asserts them over *generated* scenarios instead:

@@ -11,7 +11,7 @@
 //! into a flat dense vector via mixed-radix code packing; larger ones fall
 //! back to the sparse hash-map path.
 
-use tabular::{ColumnView, EncodedColumn, TabularError};
+use tabular::{ColumnView, TabularError};
 
 use crate::kernel::{self, JointCounts};
 
@@ -30,8 +30,10 @@ pub struct JointTable {
 }
 
 impl JointTable {
-    /// Builds the joint table of `columns` over rows `0..n`, where `n` is the
-    /// common length of the columns.
+    /// Builds the joint table of `columns` (in either lifecycle state) over
+    /// rows `0..n`, where `n` is the common length of the columns, with the
+    /// row-aware dense/sparse crossover
+    /// ([`adaptive_dense_cells`](kernel::adaptive_dense_cells)).
     ///
     /// * Rows with a missing value in any column are skipped.
     /// * `weights`, when given, must have the same length as the columns and
@@ -39,12 +41,13 @@ impl JointTable {
     ///   weights every complete row counts 1. Rows with zero weight are
     ///   skipped.
     ///
-    /// # Panics
-    /// Panics if the columns (or the weight vector) have inconsistent
-    /// lengths, or if any weight is negative or non-finite (NaN / infinite
-    /// weights would silently corrupt the counts).
-    pub fn build(columns: &[&EncodedColumn], weights: Option<&[f64]>) -> Self {
-        let n = columns.first().map(|c| c.len()).unwrap_or(0);
+    /// Inconsistent lengths and negative or non-finite weights are returned
+    /// as [`TabularError::InvalidArgument`].
+    pub fn build(
+        columns: &[ColumnView<'_>],
+        weights: Option<&[f64]>,
+    ) -> Result<Self, TabularError> {
+        let n = columns.first().map_or(0, ColumnView::len);
         Self::build_with_threshold(columns, weights, kernel::adaptive_dense_cells(n))
     }
 
@@ -52,80 +55,11 @@ impl JointTable {
     /// threshold: cross products with at most `dense_cells` cells use the
     /// dense kernel, larger ones the sparse hash path. `0` forces sparse.
     pub fn build_with_threshold(
-        columns: &[&EncodedColumn],
-        weights: Option<&[f64]>,
-        dense_cells: usize,
-    ) -> Self {
-        Self::try_build_with_threshold(columns, weights, dense_cells)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`build`](JointTable::build) with the length/weight contract
-    /// surfaced as a structured [`TabularError`] instead of a panic — the
-    /// serving-path entry point.
-    pub fn try_build(
-        columns: &[&EncodedColumn],
-        weights: Option<&[f64]>,
-    ) -> Result<Self, TabularError> {
-        let n = columns.first().map(|c| c.len()).unwrap_or(0);
-        Self::try_build_with_threshold(columns, weights, kernel::adaptive_dense_cells(n))
-    }
-
-    /// [`build_with_threshold`](JointTable::build_with_threshold), returning
-    /// contract violations as [`TabularError::InvalidArgument`].
-    pub fn try_build_with_threshold(
-        columns: &[&EncodedColumn],
-        weights: Option<&[f64]>,
-        dense_cells: usize,
-    ) -> Result<Self, TabularError> {
-        let acc = kernel::try_accumulate(columns, weights, dense_cells)?;
-        Ok(JointTable {
-            counts: acc.counts,
-            total: acc.total,
-            complete_cases: acc.complete_cases,
-            n_dims: columns.len(),
-        })
-    }
-
-    /// Builds the joint table over columns in either lifecycle state
-    /// (mutable or sealed). Semantics are identical to
-    /// [`build`](JointTable::build); sealed columns are folded through the
-    /// run-aware kernel paths without decoding, with bit-identical results.
-    pub fn build_views(columns: &[ColumnView<'_>], weights: Option<&[f64]>) -> Self {
-        let n = columns.first().map(|c| c.len()).unwrap_or(0);
-        Self::build_views_with_threshold(columns, weights, kernel::adaptive_dense_cells(n))
-    }
-
-    /// Like [`build_views`](JointTable::build_views) with an explicit
-    /// dense-cell threshold (see
-    /// [`build_with_threshold`](JointTable::build_with_threshold)).
-    pub fn build_views_with_threshold(
-        columns: &[ColumnView<'_>],
-        weights: Option<&[f64]>,
-        dense_cells: usize,
-    ) -> Self {
-        Self::try_build_views_with_threshold(columns, weights, dense_cells)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`build_views`](JointTable::build_views) with contract violations
-    /// returned as [`TabularError::InvalidArgument`] instead of panicking.
-    pub fn try_build_views(
-        columns: &[ColumnView<'_>],
-        weights: Option<&[f64]>,
-    ) -> Result<Self, TabularError> {
-        let n = columns.first().map(|c| c.len()).unwrap_or(0);
-        Self::try_build_views_with_threshold(columns, weights, kernel::adaptive_dense_cells(n))
-    }
-
-    /// [`build_views_with_threshold`](JointTable::build_views_with_threshold),
-    /// returning contract violations as [`TabularError::InvalidArgument`].
-    pub fn try_build_views_with_threshold(
         columns: &[ColumnView<'_>],
         weights: Option<&[f64]>,
         dense_cells: usize,
     ) -> Result<Self, TabularError> {
-        let acc = kernel::try_accumulate_views(columns, weights, dense_cells)?;
+        let acc = kernel::accumulate(columns, weights, dense_cells)?;
         Ok(JointTable {
             counts: acc.counts,
             total: acc.total,
@@ -197,17 +131,22 @@ impl JointTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tabular::Column;
+    use tabular::{Column, EncodedColumn};
 
     fn enc(vals: &[Option<&str>]) -> EncodedColumn {
         Column::from_str_values("c", vals.to_vec()).encode()
+    }
+
+    fn build(cols: &[&EncodedColumn], weights: Option<&[f64]>) -> JointTable {
+        let views: Vec<ColumnView<'_>> = cols.iter().map(|&c| c.into()).collect();
+        JointTable::build(&views, weights).unwrap()
     }
 
     #[test]
     fn builds_counts_and_total() {
         let x = enc(&[Some("a"), Some("a"), Some("b"), Some("b")]);
         let y = enc(&[Some("0"), Some("1"), Some("0"), Some("1")]);
-        let t = JointTable::build(&[&x, &y], None);
+        let t = build(&[&x, &y], None);
         assert_eq!(t.n_cells(), 4);
         assert_eq!(t.total(), 4.0);
         assert_eq!(t.complete_cases(), 4);
@@ -219,7 +158,7 @@ mod tests {
     fn missing_rows_are_dropped() {
         let x = enc(&[Some("a"), None, Some("b")]);
         let y = enc(&[Some("0"), Some("1"), None]);
-        let t = JointTable::build(&[&x, &y], None);
+        let t = build(&[&x, &y], None);
         assert_eq!(t.complete_cases(), 1);
         assert_eq!(t.total(), 1.0);
     }
@@ -227,30 +166,30 @@ mod tests {
     #[test]
     fn weights_scale_counts() {
         let x = enc(&[Some("a"), Some("b")]);
-        let t = JointTable::build(&[&x], Some(&[2.0, 6.0]));
+        let t = build(&[&x], Some(&[2.0, 6.0]));
         assert_eq!(t.total(), 8.0);
         assert!((t.probability(&[1]) - 0.75).abs() < 1e-12);
-        // zero / negative weights are skipped
-        let t = JointTable::build(&[&x], Some(&[0.0, 1.0]));
+        // zero weights are skipped
+        let t = build(&[&x], Some(&[0.0, 1.0]));
         assert_eq!(t.complete_cases(), 1);
     }
 
     #[test]
     fn entropy_uniform_and_deterministic() {
         let x = enc(&[Some("a"), Some("b"), Some("c"), Some("d")]);
-        let t = JointTable::build(&[&x], None);
+        let t = build(&[&x], None);
         assert!((t.entropy() - 2.0).abs() < 1e-12);
         let y = enc(&[Some("a"), Some("a")]);
-        assert_eq!(JointTable::build(&[&y], None).entropy(), 0.0);
+        assert_eq!(build(&[&y], None).entropy(), 0.0);
         let empty = enc(&[None, None]);
-        assert_eq!(JointTable::build(&[&empty], None).entropy(), 0.0);
+        assert_eq!(build(&[&empty], None).entropy(), 0.0);
     }
 
     #[test]
     fn marginalisation_preserves_total() {
         let x = enc(&[Some("a"), Some("a"), Some("b"), Some("b")]);
         let y = enc(&[Some("0"), Some("1"), Some("0"), Some("1")]);
-        let t = JointTable::build(&[&x, &y], None);
+        let t = build(&[&x, &y], None);
         let mx = t.marginal(&[0]);
         assert_eq!(mx.total(), t.total());
         assert_eq!(mx.n_cells(), 2);
@@ -259,20 +198,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "equal length")]
-    fn mismatched_lengths_panic() {
-        let x = enc(&[Some("a")]);
-        let y = enc(&[Some("a"), Some("b")]);
-        JointTable::build(&[&x, &y], None);
-    }
-
-    #[test]
     fn dense_and_sparse_tables_agree() {
         let x = enc(&[Some("a"), Some("a"), Some("b"), None, Some("b"), Some("c")]);
         let y = enc(&[Some("0"), Some("1"), Some("0"), Some("1"), None, Some("1")]);
         let w = [1.0, 2.0, 0.5, 1.0, 1.0, 3.0];
-        let dense = JointTable::build(&[&x, &y], Some(&w));
-        let sparse = JointTable::build_with_threshold(&[&x, &y], Some(&w), 0);
+        let dense = build(&[&x, &y], Some(&w));
+        let sparse =
+            JointTable::build_with_threshold(&[(&x).into(), (&y).into()], Some(&w), 0).unwrap();
         assert!(dense.is_dense());
         assert!(!sparse.is_dense());
         assert_eq!(dense.total(), sparse.total());
@@ -286,19 +218,5 @@ mod tests {
             assert_eq!(dm.n_cells(), sm.n_cells());
         }
         assert!((dense.probability(&[0, 1]) - sparse.probability(&[0, 1])).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid IPW weight")]
-    fn non_finite_weights_are_rejected() {
-        let x = enc(&[Some("a"), Some("b")]);
-        JointTable::build(&[&x], Some(&[1.0, f64::INFINITY]));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid IPW weight")]
-    fn negative_weights_are_rejected() {
-        let x = enc(&[Some("a"), Some("b")]);
-        JointTable::build(&[&x], Some(&[-1.0, 1.0]));
     }
 }

@@ -9,14 +9,14 @@ use std::collections::HashMap;
 
 use tabular::{ColumnView, DataFrame, EncodedColumn, Encoding, Result, SealedColumn, TabularError};
 
-use crate::independence::{ci_test_views, CiTestConfig, CiTestResult};
+use crate::independence::{self, CiTestConfig, CiTestResult};
 use crate::measures;
 
 /// One column of an [`EncodedFrame`], in one of the two lifecycle states of
 /// the storage layer (see [`tabular::storage`]).
 #[derive(Debug, Clone)]
 enum FrameColumn {
-    /// Freshly encoded: dense codes, cheap to replace.
+    /// Freshly encoded: dense codes.
     Mutable(EncodedColumn),
     /// Compressed and immutable, produced by [`EncodedFrame::seal`].
     Sealed(SealedColumn),
@@ -132,14 +132,6 @@ impl EncodedFrame {
         self.columns.contains_key(name)
     }
 
-    /// Adds (or replaces) an encoded column. The column enters in the
-    /// mutable state; call [`seal`](EncodedFrame::seal) again to compress a
-    /// frame that was sealed before the insert.
-    pub fn insert(&mut self, name: impl Into<String>, column: EncodedColumn) {
-        self.columns
-            .insert(name.into(), FrameColumn::Mutable(column));
-    }
-
     /// Borrows a column as a state-agnostic [`ColumnView`].
     pub fn column(&self, name: &str) -> Result<ColumnView<'_>> {
         self.columns
@@ -150,7 +142,8 @@ impl EncodedFrame {
 
     /// Seals every mutable column in place, re-encoding its codes into the
     /// smallest applicable compressed layout (see [`EncodedColumn::seal`]).
-    /// Already-sealed columns are left untouched. Every measure returns
+    /// Already-sealed columns are left untouched, so on a frame that MESA's
+    /// preparation already sealed this does nothing. Every measure returns
     /// bit-identical results before and after sealing.
     pub fn seal(&mut self) {
         for col in self.columns.values_mut() {
@@ -204,59 +197,25 @@ impl EncodedFrame {
         names.iter().map(|&n| self.column(n)).collect()
     }
 
-    /// Checks the IPW weight contract (one finite, non-negative weight per
-    /// row) up front, so weighted measures return a structured
-    /// [`TabularError::InvalidArgument`] on the serving path instead of
-    /// panicking inside the counting kernel.
-    fn check_weights(&self, weights: Option<&[f64]>) -> Result<()> {
-        crate::kernel::validate_weights(self.n_rows(), weights)
-    }
-
-    /// `H(X)`.
-    pub fn entropy(&self, x: &str) -> Result<f64> {
-        Ok(measures::entropy_view(self.column(x)?, None))
-    }
-
     /// `H(X | Z)` for a set of conditioning columns.
     pub fn conditional_entropy(&self, x: &str, given: &[&str]) -> Result<f64> {
-        Ok(measures::conditional_entropy_views(
-            self.column(x)?,
-            &self.columns_for(given)?,
-            None,
-        ))
+        measures::conditional_entropy(self.column(x)?, &self.columns_for(given)?, None)
     }
 
     /// `I(X; Y)`, optionally IPW-weighted.
     pub fn mutual_information(&self, x: &str, y: &str, weights: Option<&[f64]>) -> Result<f64> {
-        self.check_weights(weights)?;
-        Ok(measures::mutual_information_views(
-            self.column(x)?,
-            self.column(y)?,
-            weights,
-        ))
+        measures::mutual_information(self.column(x)?, self.column(y)?, weights)
     }
 
     /// `I(X; Y | Z)` for a set of conditioning columns, optionally
     /// IPW-weighted.
     pub fn cmi(&self, x: &str, y: &str, z: &[&str], weights: Option<&[f64]>) -> Result<f64> {
-        self.check_weights(weights)?;
-        Ok(measures::conditional_mutual_information_views(
+        measures::conditional_mutual_information(
             self.column(x)?,
             self.column(y)?,
             &self.columns_for(z)?,
             weights,
-        ))
-    }
-
-    /// Interaction information `II(X; Y; Z)`.
-    pub fn interaction(&self, x: &str, y: &str, z: &str, weights: Option<&[f64]>) -> Result<f64> {
-        self.check_weights(weights)?;
-        Ok(measures::interaction_information_views(
-            self.column(x)?,
-            self.column(y)?,
-            self.column(z)?,
-            weights,
-        ))
+        )
     }
 
     /// Conditional-independence G-test of `X ⫫ Y | Z`.
@@ -268,14 +227,13 @@ impl EncodedFrame {
         weights: Option<&[f64]>,
         config: CiTestConfig,
     ) -> Result<CiTestResult> {
-        self.check_weights(weights)?;
-        Ok(ci_test_views(
+        independence::ci_test(
             self.column(x)?,
             self.column(y)?,
             &self.columns_for(z)?,
             weights,
             config,
-        ))
+        )
     }
 
     /// Number of distinct non-null values of a column.
@@ -296,10 +254,11 @@ impl EncodedFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tabular::DataFrameBuilder;
+    use crate::{kernel, JointTable};
+    use tabular::{Column, DataFrameBuilder};
 
-    fn frame() -> EncodedFrame {
-        let df = DataFrameBuilder::new()
+    fn df() -> DataFrame {
+        DataFrameBuilder::new()
             .cat(
                 "t",
                 vec![
@@ -338,8 +297,11 @@ mod tests {
                 vec![Some(1.0), None, Some(3.0), None, Some(5.0), Some(6.0)],
             )
             .build()
-            .unwrap();
-        EncodedFrame::from_frame(&df)
+            .unwrap()
+    }
+
+    fn frame() -> EncodedFrame {
+        EncodedFrame::from_frame(&df())
     }
 
     #[test]
@@ -362,14 +324,13 @@ mod tests {
         let ef = frame();
         // o is a deterministic function of t, so I(t;o) = H(t) = 1 bit and
         // H(o | t) = 0.
-        assert!((ef.entropy("t").unwrap() - 1.0).abs() < 1e-12);
+        assert!((ef.conditional_entropy("t", &[]).unwrap() - 1.0).abs() < 1e-12);
         assert!((ef.mutual_information("t", "o", None).unwrap() - 1.0).abs() < 1e-12);
         assert!(ef.conditional_entropy("o", &["t"]).unwrap().abs() < 1e-12);
         // conditioning on an unrelated column keeps (most of) the MI
         assert!(ef.cmi("t", "o", &["z"], None).unwrap() > 0.9);
         // conditioning on o itself kills it
         assert!(ef.cmi("t", "o", &["o"], None).unwrap().abs() < 1e-12);
-        assert!(ef.interaction("t", "o", "o", None).unwrap() > 0.9);
     }
 
     #[test]
@@ -398,14 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_overrides() {
-        let mut ef = frame();
-        let custom = tabular::Column::from_str_values("t", vec![Some("q"); 6]).encode();
-        ef.insert("t", custom);
-        assert_eq!(ef.cardinality("t").unwrap(), 1);
-    }
-
-    #[test]
     fn sealing_preserves_measures_bitwise() {
         let ef = frame();
         let mut sealed = ef.clone();
@@ -413,8 +366,8 @@ mod tests {
         sealed.seal();
         assert!(sealed.is_sealed());
         assert_eq!(
-            ef.entropy("t").unwrap().to_bits(),
-            sealed.entropy("t").unwrap().to_bits()
+            ef.conditional_entropy("t", &[]).unwrap().to_bits(),
+            sealed.conditional_entropy("t", &[]).unwrap().to_bits()
         );
         assert_eq!(
             ef.mutual_information("t", "o", None).unwrap().to_bits(),
@@ -445,19 +398,68 @@ mod tests {
     }
 
     #[test]
-    fn seal_is_idempotent_and_insert_unseals() {
+    fn seal_is_idempotent() {
         let mut ef = frame();
         ef.seal();
-        let h = ef.entropy("t").unwrap();
-        ef.seal();
-        assert_eq!(ef.entropy("t").unwrap().to_bits(), h.to_bits());
-        // Inserting puts the new column back in the mutable state.
-        let custom = tabular::Column::from_str_values("t", vec![Some("q"); 6]).encode();
-        ef.insert("t", custom);
-        assert!(!ef.is_sealed());
+        let h = ef.conditional_entropy("t", &[]).unwrap();
         ef.seal();
         assert!(ef.is_sealed());
-        assert_eq!(ef.cardinality("t").unwrap(), 1);
+        assert_eq!(
+            ef.conditional_entropy("t", &[]).unwrap().to_bits(),
+            h.to_bits()
+        );
+    }
+
+    /// Every layer returns a violation of the fold's input contract as
+    /// `InvalidArgument`: the kernel (production and reference folds), the
+    /// joint table, and the frame's weighted measures. A frame's columns
+    /// share one length by construction, so unequal column lengths reach
+    /// only the first three.
+    #[test]
+    fn contract_violations_are_invalid_argument_at_every_layer() {
+        fn assert_invalid<T: std::fmt::Debug>(result: Result<T>, what: &str, layer: &str) {
+            assert!(
+                matches!(result, Err(TabularError::InvalidArgument(_))),
+                "{what} via {layer}: {result:?}"
+            );
+        }
+        let df = df();
+        let t = df.column("t").unwrap().encode();
+        let o = df.column("o").unwrap().encode();
+        let short = Column::from_str_values("s", vec![Some("a")]).encode();
+        // Unit weights over the frame's six rows, but for one bad entry.
+        let bad = |row: usize, w: f64| {
+            let mut weights = vec![1.0; df.n_rows()];
+            weights[row] = w;
+            weights
+        };
+        let cases = [
+            ("NaN weight", [&t, &o], Some(bad(2, f64::NAN))),
+            ("infinite weight", [&t, &o], Some(bad(0, f64::INFINITY))),
+            ("negative weight", [&t, &o], Some(bad(4, -0.5))),
+            ("wrong-length weights", [&t, &o], Some(vec![1.0; 5])),
+            ("unequal column lengths", [&t, &short], None),
+        ];
+        let ef = EncodedFrame::from_frame(&df);
+        let ci = CiTestConfig::default();
+        for (what, cols, weights) in &cases {
+            let weights = weights.as_deref();
+            let views: Vec<ColumnView<'_>> = cols.iter().map(|&c| c.into()).collect();
+            let cells = kernel::DEFAULT_DENSE_CELLS;
+            assert_invalid(kernel::accumulate(&views, weights, cells), what, "kernel");
+            assert_invalid(
+                kernel::reference_accumulate(cols, weights, cells),
+                what,
+                "reference",
+            );
+            assert_invalid(JointTable::build(&views, weights), what, "table");
+            if cols[1].len() != ef.n_rows() {
+                continue;
+            }
+            assert_invalid(ef.mutual_information("t", "o", weights), what, "MI");
+            assert_invalid(ef.cmi("t", "o", &["z"], weights), what, "CMI");
+            assert_invalid(ef.ci_test("t", "o", &["z"], weights, ci), what, "G-test");
+        }
     }
 
     #[test]

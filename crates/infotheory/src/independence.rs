@@ -1,4 +1,4 @@
-//! Conditional-independence testing and approximate functional dependencies.
+//! Conditional-independence testing.
 //!
 //! MESA uses a conditional-independence (CI) test in three places:
 //!
@@ -12,7 +12,7 @@
 //! `(|X|-1)(|Y|-1)·|Z|` degrees of freedom under the null hypothesis of
 //! conditional independence.
 
-use tabular::{ColumnView, EncodedColumn};
+use tabular::{ColumnView, TabularError};
 
 use crate::contingency::JointTable;
 use crate::measures::cmi_of_table;
@@ -63,31 +63,20 @@ fn observed_levels(table: &JointTable, dim: usize) -> usize {
     table.marginal(&[dim]).n_cells()
 }
 
-/// Runs the G-test of `X ⫫ Y | Z` on complete cases (optionally weighted).
+/// Runs the G-test of `X ⫫ Y | Z` on complete cases (optionally weighted),
+/// over columns in either lifecycle state.
 pub fn ci_test(
-    x: &EncodedColumn,
-    y: &EncodedColumn,
-    z: &[&EncodedColumn],
-    weights: Option<&[f64]>,
-    config: CiTestConfig,
-) -> CiTestResult {
-    let z_views: Vec<ColumnView<'_>> = z.iter().map(|&c| c.into()).collect();
-    ci_test_views(x.into(), y.into(), &z_views, weights, config)
-}
-
-/// [`ci_test`] over columns in either lifecycle state (mutable or sealed).
-pub fn ci_test_views(
     x: ColumnView<'_>,
     y: ColumnView<'_>,
     z: &[ColumnView<'_>],
     weights: Option<&[f64]>,
     config: CiTestConfig,
-) -> CiTestResult {
+) -> Result<CiTestResult, TabularError> {
     let mut all: Vec<ColumnView<'_>> = Vec::with_capacity(z.len() + 2);
     all.push(x);
     all.push(y);
     all.extend_from_slice(z);
-    ci_test_table(&JointTable::build_views(&all, weights), config)
+    Ok(ci_test_table(&JointTable::build(&all, weights)?, config))
 }
 
 /// The G-test of `X ⫫ Y | Z` over a joint table already built on
@@ -135,34 +124,10 @@ pub fn ci_test_table(joint: &JointTable, config: CiTestConfig) -> CiTestResult {
     }
 }
 
-/// Convenience wrapper returning only the independence verdict.
-pub fn is_conditionally_independent(
-    x: &EncodedColumn,
-    y: &EncodedColumn,
-    z: &[&EncodedColumn],
-    weights: Option<&[f64]>,
-) -> bool {
-    ci_test(x, y, z, weights, CiTestConfig::default()).independent
-}
-
-/// Tests the approximate functional dependency `X ⇒ Y`: holds when the
-/// conditional entropy `H(Y | X)` is at most `epsilon` bits.
-pub fn approx_functional_dependency(x: &EncodedColumn, y: &EncodedColumn, epsilon: f64) -> bool {
-    crate::measures::conditional_entropy(y, &[x], None) <= epsilon
-}
-
-/// Tests whether two attributes are *logically dependent* in the paper's
-/// sense: `H(Y|X) ≈ 0` **and** `H(X|Y) ≈ 0` (they determine each other, like
-/// `Country` and `CountryCode`). Conditioning on such an attribute would
-/// mechanically drive the CMI to zero (Lemma A.2), so MESA prunes them.
-pub fn logically_equivalent(x: &EncodedColumn, y: &EncodedColumn, epsilon: f64) -> bool {
-    approx_functional_dependency(x, y, epsilon) && approx_functional_dependency(y, x, epsilon)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tabular::Column;
+    use tabular::{Column, EncodedColumn};
 
     fn enc(vals: &[&str]) -> EncodedColumn {
         Column::from_str_values("c", vals.iter().map(|v| Some(*v)).collect()).encode()
@@ -179,11 +144,22 @@ mod tests {
         enc(&vals)
     }
 
+    /// The unweighted G-test over plain columns.
+    fn test(
+        x: &EncodedColumn,
+        y: &EncodedColumn,
+        z: &[&EncodedColumn],
+        config: CiTestConfig,
+    ) -> CiTestResult {
+        let z: Vec<ColumnView<'_>> = z.iter().map(|&c| c.into()).collect();
+        ci_test(x.into(), y.into(), &z, None, config).unwrap()
+    }
+
     #[test]
     fn independent_variables_retain_null() {
         let x = repeat(&["a", "a", "b", "b"], 50);
         let y = repeat(&["0", "1", "0", "1"], 50);
-        let r = ci_test(&x, &y, &[], None, CiTestConfig::default());
+        let r = test(&x, &y, &[], CiTestConfig::default());
         assert!(r.independent);
         assert!(r.p_value > 0.05 || r.cmi < 1e-3);
         assert_eq!(r.n, 200);
@@ -193,7 +169,7 @@ mod tests {
     fn dependent_variables_reject_null() {
         let x = repeat(&["a", "a", "b", "b"], 50);
         let y = x.clone();
-        let r = ci_test(&x, &y, &[], None, CiTestConfig::default());
+        let r = test(&x, &y, &[], CiTestConfig::default());
         assert!(!r.independent);
         assert!(r.p_value < 0.01);
         assert!(r.cmi > 0.9);
@@ -205,8 +181,8 @@ mod tests {
         let z = repeat(&["u", "v", "u", "v", "w", "w"], 40);
         let x = z.clone();
         let y = z.clone();
-        assert!(!is_conditionally_independent(&x, &y, &[], None));
-        assert!(is_conditionally_independent(&x, &y, &[&z], None));
+        assert!(!test(&x, &y, &[], CiTestConfig::default()).independent);
+        assert!(test(&x, &y, &[&z], CiTestConfig::default()).independent);
     }
 
     #[test]
@@ -214,15 +190,14 @@ mod tests {
         // With only a handful of rows the G-test should not claim dependence.
         let x = enc(&["a", "b"]);
         let y = enc(&["0", "1"]);
-        let r = ci_test(&x, &y, &[], None, CiTestConfig::default());
-        assert!(r.independent);
+        assert!(test(&x, &y, &[], CiTestConfig::default()).independent);
     }
 
     #[test]
     fn empty_data_is_independent() {
         let x = Column::from_str_values("x", vec![None::<&str>, None]).encode();
         let y = x.clone();
-        let r = ci_test(&x, &y, &[], None, CiTestConfig::default());
+        let r = test(&x, &y, &[], CiTestConfig::default());
         assert!(r.independent);
         assert_eq!(r.n, 0);
         assert_eq!(r.p_value, 1.0);
@@ -243,37 +218,19 @@ mod tests {
             Column::from_str_values("x", xv.iter().map(|s| Some(s.as_str())).collect()).encode();
         let y =
             Column::from_str_values("y", yv.iter().map(|s| Some(s.as_str())).collect()).encode();
-        let strict = ci_test(
+        let strict = test(
             &x,
             &y,
             &[],
-            None,
             CiTestConfig {
                 alpha: 0.05,
                 min_cmi: 0.0,
             },
         );
-        let with_floor = ci_test(&x, &y, &[], None, CiTestConfig::default());
+        let with_floor = test(&x, &y, &[], CiTestConfig::default());
         assert!(with_floor.independent);
         // the raw test may or may not reject; the floor must make the verdict independent
         assert!(with_floor.cmi <= strict.cmi + 1e-12);
-    }
-
-    #[test]
-    fn functional_dependency_detection() {
-        // CountryCode -> Country (1:1 mapping)
-        let code = repeat(&["DE", "US", "FR"], 30);
-        let country = repeat(&["Germany", "USA", "France"], 30);
-        assert!(approx_functional_dependency(&code, &country, 0.01));
-        assert!(approx_functional_dependency(&country, &code, 0.01));
-        assert!(logically_equivalent(&code, &country, 0.01));
-
-        // Continent -> determined by country, but not vice versa
-        let country2 = repeat(&["DE", "FR", "US", "MX"], 30);
-        let continent = repeat(&["EU", "EU", "NA", "NA"], 30);
-        assert!(approx_functional_dependency(&country2, &continent, 0.01));
-        assert!(!approx_functional_dependency(&continent, &country2, 0.01));
-        assert!(!logically_equivalent(&country2, &continent, 0.01));
     }
 
     #[test]
@@ -281,8 +238,8 @@ mod tests {
         let x = repeat(&["a", "b", "a", "b"], 25);
         let y = repeat(&["0", "0", "1", "1"], 25);
         let z = repeat(&["p", "q", "r", "s"], 25);
-        let with_z = ci_test(&x, &y, &[&z], None, CiTestConfig::default());
-        let without = ci_test(&x, &y, &[], None, CiTestConfig::default());
+        let with_z = test(&x, &y, &[&z], CiTestConfig::default());
+        let without = test(&x, &y, &[], CiTestConfig::default());
         assert!(with_z.dof >= without.dof);
     }
 }

@@ -1,5 +1,11 @@
 //! The columnar counting kernel behind every estimator in this crate.
 //!
+//! [`accumulate`] is the one production entry point: it takes columns in
+//! either lifecycle state as [`ColumnView`]s, checks the input contract
+//! (equal lengths, finite non-negative weights) and returns a `Result`.
+//! [`reference_accumulate`], a row-at-a-time fold over plain columns, is
+//! the oracle that tests and the fuzzer hold it to, bit for bit.
+//!
 //! A joint count table over encoded columns can be stored two ways:
 //!
 //! * **Dense**: when the cross-product cardinality of the involved columns is
@@ -30,13 +36,6 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use tabular::{Access, Bitmap, ColumnView, EncodedColumn, PackedInts, Run, RunIter, TabularError};
-
-/// Rows folded between cooperative cancellation checkpoints in the per-row
-/// accumulation loops (the segment/block folds checkpoint at their natural
-/// coarser boundaries instead). Coarse enough that the thread-local read is
-/// invisible next to the fold work, fine enough that a deadline lands
-/// within a fraction of a millisecond of kernel time.
-const CHECKPOINT_ROWS: usize = 4096;
 
 /// A deterministic FxHash-style hasher: multiply-xor folding with fixed
 /// constants and no per-process seed. Quality is more than sufficient for
@@ -121,9 +120,8 @@ pub const DENSE_CELLS_FLOOR: usize = 1024;
 ///
 /// See [`DENSE_CELLS_PER_ROW`] and [`DENSE_CELLS_FLOOR`] for the crossover
 /// rationale and [`DEFAULT_DENSE_CELLS`] for the hard cap. The same threshold
-/// governs every accumulation path — the dense/sparse row loops and the
-/// run-aware sealed-column folds of [`accumulate_views`] — so layout choice
-/// and storage state are independent decisions.
+/// governs both folds of [`accumulate`], so layout choice and storage state
+/// are independent decisions.
 pub fn adaptive_dense_cells(n_rows: usize) -> usize {
     n_rows
         .saturating_mul(DENSE_CELLS_PER_ROW)
@@ -132,11 +130,8 @@ pub fn adaptive_dense_cells(n_rows: usize) -> usize {
 }
 
 /// The complete-case mask of a set of columns over `n_rows` rows: bit `i` is
-/// set iff row `i` is non-null in every column.
-///
-/// # Panics
-/// Panics if any column's length differs from `n_rows`.
-pub fn complete_case_mask(columns: &[&EncodedColumn], n_rows: usize) -> Bitmap {
+/// set iff row `i` is non-null in every column. Callers validate lengths.
+fn complete_case_mask(columns: &[ColumnView<'_>], n_rows: usize) -> Bitmap {
     let mut mask = Bitmap::new_all_set(n_rows);
     for c in columns {
         mask.intersect_with(c.validity());
@@ -147,7 +142,7 @@ pub fn complete_case_mask(columns: &[&EncodedColumn], n_rows: usize) -> Bitmap {
 /// Number of cells of the dense cross product, or `None` when it exceeds
 /// `threshold` (or overflows `usize`). Columns with cardinality 0 (entirely
 /// missing) contribute a radix of 1 so the product stays well-defined.
-pub fn dense_cell_count(columns: &[&EncodedColumn], threshold: usize) -> Option<usize> {
+fn dense_cell_count(columns: &[ColumnView<'_>], threshold: usize) -> Option<usize> {
     let mut cells: usize = 1;
     for c in columns {
         cells = cells.checked_mul(c.cardinality().max(1))?;
@@ -189,44 +184,16 @@ pub struct Accumulated {
     pub complete_cases: usize,
 }
 
-/// Accumulates the weighted joint counts of `columns`, choosing the dense
-/// layout when the cross product has at most `dense_cells` cells.
-///
-/// Rows with a missing value in any column are dropped (complete-case
-/// analysis); rows with zero weight are dropped from the counts and the
-/// complete-case tally.
-///
-/// # Panics
-/// Panics if the columns (or the weight vector) have inconsistent lengths,
-/// or if any weight is negative or non-finite (NaN / infinite weights would
-/// silently corrupt every downstream entropy). Serving paths that must not
-/// unwind use [`try_accumulate`] instead.
-pub fn accumulate(
-    columns: &[&EncodedColumn],
+/// Checks the fold's input contract and returns the common row count: every
+/// column length equal, and — when weights are given — one finite,
+/// non-negative weight per row (NaN or infinite weights would silently
+/// corrupt every downstream entropy).
+fn validate(
+    lens: impl IntoIterator<Item = usize>,
     weights: Option<&[f64]>,
-    dense_cells: usize,
-) -> Accumulated {
-    // mesa-lint: allow(serving-panic-free) -- documented `# Panics` convenience wrapper; serving paths call try_accumulate
-    try_accumulate(columns, weights, dense_cells).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`accumulate`] with the length/weight contract surfaced as a structured
-/// [`TabularError::InvalidArgument`] instead of a panic — the serving-path
-/// entry point.
-pub fn try_accumulate(
-    columns: &[&EncodedColumn],
-    weights: Option<&[f64]>,
-    dense_cells: usize,
-) -> Result<Accumulated, TabularError> {
-    let n = columns.first().map(|c| c.len()).unwrap_or(0);
-    validate_lengths(n, columns.iter().map(|c| c.len()))?;
-    validate_weights(n, weights)?;
-    parallel::fault_point!("infotheory.kernel.accumulate");
-    Ok(accumulate_validated(columns, weights, dense_cells, n))
-}
-
-/// Returns an error unless every column length equals `n`.
-fn validate_lengths(n: usize, lens: impl IntoIterator<Item = usize>) -> Result<(), TabularError> {
+) -> Result<usize, TabularError> {
+    let mut lens = lens.into_iter();
+    let n = lens.next().unwrap_or(0);
     for len in lens {
         if len != n {
             return Err(TabularError::InvalidArgument(format!(
@@ -234,15 +201,7 @@ fn validate_lengths(n: usize, lens: impl IntoIterator<Item = usize>) -> Result<(
             )));
         }
     }
-    Ok(())
-}
-
-/// Validates the IPW weight contract against `n` rows: one weight per row,
-/// every weight finite and non-negative. Shared by the accumulate entry
-/// points and by [`EncodedFrame`](crate::EncodedFrame)'s weighted measures
-/// so invalid weights surface as structured errors before any fold runs.
-pub fn validate_weights(n: usize, weights: Option<&[f64]>) -> Result<(), TabularError> {
-    let Some(w) = weights else { return Ok(()) };
+    let Some(w) = weights else { return Ok(n) };
     if w.len() != n {
         return Err(TabularError::InvalidArgument(format!(
             "weights must have one entry per row (expected {n}, got {})",
@@ -256,30 +215,81 @@ pub fn validate_weights(n: usize, weights: Option<&[f64]>) -> Result<(), Tabular
             )));
         }
     }
-    Ok(())
+    Ok(n)
 }
 
-/// [`accumulate`]'s body, after the input contract has been checked.
-fn accumulate_validated(
+/// Accumulates the weighted joint counts of `columns`, choosing the dense
+/// layout when the cross product has at most `dense_cells` cells. This is
+/// the one production fold: every table and measure in the crate reaches
+/// the rows through it.
+///
+/// Rows with a missing value in any column are dropped (complete-case
+/// analysis); rows with zero weight are dropped from the counts and the
+/// complete-case tally. Inconsistent lengths and negative or non-finite
+/// weights are returned as [`TabularError::InvalidArgument`].
+///
+/// Columns in either lifecycle state are folded without a full decode:
+///
+/// * any RLE or delta column present → **run-aligned segment co-iteration**:
+///   each segment is the intersection of the participating runs, the run
+///   columns' contribution to the joint index is hoisted out of the row
+///   loop, per-segment validity comes from the word-level range iterators of
+///   the complete-case mask, and an all-run unweighted segment collapses to
+///   a single `+= count_set_range(..)`;
+/// * otherwise → **64-row blocks** aligned to the mask words: all-null
+///   words are skipped wholesale, plain and sealed-dense columns are read as
+///   slices, and each bit-packed column unpacks one block sequentially
+///   instead of paying the random-access shift per row.
+///
+/// Both folds visit surviving rows in ascending row order and perform the
+/// identical floating-point operations per row as [`reference_accumulate`]
+/// (unweighted run and block folds replace `n` additions of `1.0` with one
+/// `+= n`, exact for integer counts), so results are **bit-identical** to
+/// the reference — an equality the test suite asserts, not approximates.
+pub fn accumulate(
+    columns: &[ColumnView<'_>],
+    weights: Option<&[f64]>,
+    dense_cells: usize,
+) -> Result<Accumulated, TabularError> {
+    let n = validate(columns.iter().map(ColumnView::len), weights)?;
+    parallel::fault_point!("infotheory.kernel.accumulate");
+    let mask = complete_case_mask(columns, n);
+    let cells = dense_cell_count(columns, dense_cells);
+    let any_runs = columns
+        .iter()
+        .any(|c| matches!(c.access(), Access::Runs(_)));
+    let (counts, total, complete_cases) = if any_runs {
+        fold_segments(columns, weights, &mask, cells, n)
+    } else {
+        fold_blocks(columns, weights, &mask, cells, n)
+    };
+    Ok(Accumulated {
+        counts,
+        total,
+        complete_cases,
+    })
+}
+
+/// The reference fold: one row at a time over plain columns, in the dense
+/// or sparse layout by the same `dense_cells` rule as [`accumulate`], with
+/// the same input contract. It shares no access path with the production
+/// folds, which makes it their independent oracle; only tests and the
+/// fuzzer call it.
+pub fn reference_accumulate(
     columns: &[&EncodedColumn],
     weights: Option<&[f64]>,
     dense_cells: usize,
-    n: usize,
-) -> Accumulated {
-    let mask = complete_case_mask(columns, n);
+) -> Result<Accumulated, TabularError> {
+    let n = validate(columns.iter().map(|c| c.len()), weights)?;
+    let views: Vec<ColumnView<'_>> = columns.iter().map(|&c| c.into()).collect();
+    let mask = complete_case_mask(&views, n);
     let mut total = 0.0;
     let mut complete_cases = 0usize;
-    let counts = match dense_cell_count(columns, dense_cells) {
+    let counts = match dense_cell_count(&views, dense_cells) {
         Some(cells) => {
             let mut counts = vec![0.0f64; cells];
             let radices: Vec<usize> = columns.iter().map(|c| c.cardinality().max(1)).collect();
-            let mut ticker = 0usize;
-            // mesa-lint: hot-loop -- masked fold over row blocks; polls the cooperative deadline every CHECKPOINT_ROWS rows
             for row in mask.iter_set() {
-                ticker += 1;
-                if ticker.is_multiple_of(CHECKPOINT_ROWS) {
-                    parallel::checkpoint();
-                }
                 let w = weights.map(|w| w[row]).unwrap_or(1.0);
                 if w == 0.0 {
                     continue;
@@ -298,13 +308,7 @@ fn accumulate_validated(
         }
         None => {
             let mut counts = SparseCounts::default();
-            let mut ticker = 0usize;
-            // mesa-lint: hot-loop -- masked fold over row blocks; polls the cooperative deadline every CHECKPOINT_ROWS rows
             for row in mask.iter_set() {
-                ticker += 1;
-                if ticker.is_multiple_of(CHECKPOINT_ROWS) {
-                    parallel::checkpoint();
-                }
                 let w = weights.map(|w| w[row]).unwrap_or(1.0);
                 if w == 0.0 {
                     continue;
@@ -317,123 +321,11 @@ fn accumulate_validated(
             JointCounts::Sparse { counts }
         }
     };
-    Accumulated {
+    Ok(Accumulated {
         counts,
         total,
         complete_cases,
-    }
-}
-
-/// The complete-case mask over columns in either lifecycle state: bit `i` is
-/// set iff row `i` is non-null in every column. See [`complete_case_mask`].
-///
-/// # Panics
-/// Panics if any column's length differs from `n_rows`.
-pub fn complete_case_mask_views(columns: &[ColumnView<'_>], n_rows: usize) -> Bitmap {
-    let mut mask = Bitmap::new_all_set(n_rows);
-    for c in columns {
-        mask.intersect_with(c.validity());
-    }
-    mask
-}
-
-/// Number of cells of the dense cross product over column views, or `None`
-/// when it exceeds `threshold` (or overflows `usize`). See
-/// [`dense_cell_count`].
-pub fn dense_cell_count_views(columns: &[ColumnView<'_>], threshold: usize) -> Option<usize> {
-    let mut cells: usize = 1;
-    for c in columns {
-        cells = cells.checked_mul(c.cardinality().max(1))?;
-        if cells > threshold {
-            return None;
-        }
-    }
-    Some(cells)
-}
-
-/// Accumulates weighted joint counts over columns in either lifecycle state.
-///
-/// All-mutable inputs delegate to [`accumulate`] — the per-row dense/sparse
-/// loop stays the reference oracle and mutable frames take exactly the code
-/// path they always did. Sealed inputs are folded without a full decode:
-///
-/// * any RLE or delta column present → **run-aligned segment co-iteration**:
-///   each segment is the intersection of the participating runs, the run
-///   columns' contribution to the joint index is hoisted out of the row
-///   loop, per-segment validity comes from the word-level range iterators of
-///   the complete-case mask, and an all-run unweighted segment collapses to
-///   a single `+= count_set_range(..)`;
-/// * otherwise, any bit-packed column present → **64-row blocks** aligned to
-///   the mask words: all-null/incomplete words are skipped wholesale and
-///   each packed column unpacks one block sequentially into scratch instead
-///   of paying the random-access shift per row;
-/// * sealed-dense columns read their slices directly in either path.
-///
-/// Every path visits surviving rows in ascending row order and performs the
-/// identical floating-point operations per row as the oracle (unweighted run
-/// folds replace `n` additions of `1.0` with one `+= n`, exact for integer
-/// counts), so results are **bit-identical** to the dense/sparse reference —
-/// an equality the test suite asserts, not approximates.
-///
-/// # Panics
-/// As [`accumulate`]: inconsistent lengths, or negative/non-finite weights.
-/// Serving paths that must not unwind use [`try_accumulate_views`].
-pub fn accumulate_views(
-    columns: &[ColumnView<'_>],
-    weights: Option<&[f64]>,
-    dense_cells: usize,
-) -> Accumulated {
-    // mesa-lint: allow(serving-panic-free) -- documented `# Panics` convenience wrapper; serving paths call try_accumulate_views
-    try_accumulate_views(columns, weights, dense_cells).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`accumulate_views`] with the length/weight contract surfaced as a
-/// structured [`TabularError::InvalidArgument`] instead of a panic.
-pub fn try_accumulate_views(
-    columns: &[ColumnView<'_>],
-    weights: Option<&[f64]>,
-    dense_cells: usize,
-) -> Result<Accumulated, TabularError> {
-    let n = columns.first().map(|c| c.len()).unwrap_or(0);
-    validate_lengths(n, columns.iter().map(|c| c.len()))?;
-    validate_weights(n, weights)?;
-    if columns.iter().all(|c| !c.is_sealed()) {
-        let plain: Vec<&EncodedColumn> = columns
-            .iter()
-            .map(|c| match c {
-                ColumnView::Plain(p) => *p,
-                ColumnView::Sealed(_) => unreachable!("checked all-plain above"),
-            })
-            .collect();
-        parallel::fault_point!("infotheory.kernel.accumulate");
-        return Ok(accumulate_validated(&plain, weights, dense_cells, n));
-    }
-    parallel::fault_point!("infotheory.kernel.accumulate");
-    Ok(accumulate_views_validated(columns, weights, dense_cells, n))
-}
-
-/// [`accumulate_views`]'s sealed-path body, after contract checks.
-fn accumulate_views_validated(
-    columns: &[ColumnView<'_>],
-    weights: Option<&[f64]>,
-    dense_cells: usize,
-    n: usize,
-) -> Accumulated {
-    let mask = complete_case_mask_views(columns, n);
-    let cells = dense_cell_count_views(columns, dense_cells);
-    let any_runs = columns
-        .iter()
-        .any(|c| matches!(c.access(), Access::Runs(_)));
-    let (counts, total, complete_cases) = if any_runs {
-        fold_segments(columns, weights, &mask, cells, n)
-    } else {
-        fold_blocks(columns, weights, &mask, cells, n)
-    };
-    Accumulated {
-        counts,
-        total,
-        complete_cases,
-    }
+    })
 }
 
 /// Mixed-radix multipliers for the dense layout (`mults[i]` = product of the
@@ -650,7 +542,8 @@ enum BlockCol<'a> {
     },
 }
 
-/// 64-row block fold over bit-packed and dense columns (no run columns).
+/// 64-row block fold over plain, bit-packed and sealed-dense columns (no run
+/// columns).
 fn fold_blocks(
     columns: &[ColumnView<'_>],
     weights: Option<&[f64]>,
@@ -922,11 +815,20 @@ mod tests {
         Column::from_str_values("c", vals.to_vec()).encode()
     }
 
+    fn views<'a>(cols: &[&'a EncodedColumn]) -> Vec<ColumnView<'a>> {
+        cols.iter().map(|&c| c.into()).collect()
+    }
+
+    /// The production fold over plain columns.
+    fn fold(cols: &[&EncodedColumn], weights: Option<&[f64]>, dense_cells: usize) -> Accumulated {
+        accumulate(&views(cols), weights, dense_cells).unwrap()
+    }
+
     #[test]
     fn mask_is_intersection_of_validities() {
         let x = enc(&[Some("a"), None, Some("b"), Some("a")]);
         let y = enc(&[Some("0"), Some("1"), None, Some("0")]);
-        let mask = complete_case_mask(&[&x, &y], 4);
+        let mask = complete_case_mask(&views(&[&x, &y]), 4);
         let rows: Vec<usize> = mask.iter_set().collect();
         assert_eq!(rows, vec![0, 3]);
     }
@@ -935,20 +837,20 @@ mod tests {
     fn cell_count_respects_threshold_and_overflow() {
         let x = enc(&[Some("a"), Some("b"), Some("c")]);
         let y = enc(&[Some("0"), Some("1"), Some("0")]);
-        assert_eq!(dense_cell_count(&[&x, &y], 100), Some(6));
-        assert_eq!(dense_cell_count(&[&x, &y], 5), None);
+        assert_eq!(dense_cell_count(&views(&[&x, &y]), 100), Some(6));
+        assert_eq!(dense_cell_count(&views(&[&x, &y]), 5), None);
         assert_eq!(dense_cell_count(&[], 1), Some(1));
         // all-missing column contributes radix 1
         let empty = enc(&[None, None, None]);
-        assert_eq!(dense_cell_count(&[&x, &empty], 100), Some(3));
+        assert_eq!(dense_cell_count(&views(&[&x, &empty]), 100), Some(3));
     }
 
     #[test]
     fn dense_and_sparse_accumulate_identically() {
         let x = enc(&[Some("a"), Some("a"), Some("b"), None, Some("b")]);
         let y = enc(&[Some("0"), Some("1"), Some("0"), Some("1"), None]);
-        let dense = accumulate(&[&x, &y], None, DEFAULT_DENSE_CELLS);
-        let sparse = accumulate(&[&x, &y], None, 0);
+        let dense = fold(&[&x, &y], None, DEFAULT_DENSE_CELLS);
+        let sparse = fold(&[&x, &y], None, 0);
         assert!(matches!(dense.counts, JointCounts::Dense { .. }));
         assert!(matches!(sparse.counts, JointCounts::Sparse { .. }));
         assert_eq!(dense.total, sparse.total);
@@ -974,8 +876,8 @@ mod tests {
     fn marginalize_matches_between_layouts() {
         let x = enc(&[Some("a"), Some("a"), Some("b"), Some("b"), Some("a")]);
         let y = enc(&[Some("0"), Some("1"), Some("0"), Some("1"), Some("1")]);
-        let dense = accumulate(&[&x, &y], None, DEFAULT_DENSE_CELLS);
-        let sparse = accumulate(&[&x, &y], None, 0);
+        let dense = fold(&[&x, &y], None, DEFAULT_DENSE_CELLS);
+        let sparse = fold(&[&x, &y], None, 0);
         for dims in [vec![0], vec![1], vec![1, 0], vec![0, 1]] {
             let dm = dense.counts.marginalize(&dims);
             let sm = sparse.counts.marginalize(&dims);
@@ -994,7 +896,7 @@ mod tests {
     #[test]
     fn get_handles_out_of_range_keys() {
         let x = enc(&[Some("a"), Some("b")]);
-        let acc = accumulate(&[&x], None, DEFAULT_DENSE_CELLS);
+        let acc = fold(&[&x], None, DEFAULT_DENSE_CELLS);
         assert_eq!(acc.counts.get(&[0]), 1.0);
         assert_eq!(acc.counts.get(&[7]), 0.0);
         assert_eq!(acc.counts.get(&[0, 0]), 0.0);
@@ -1017,8 +919,8 @@ mod tests {
             .collect();
         let x = enc(&cells);
         let y = enc(&cells.iter().rev().copied().collect::<Vec<_>>());
-        let first = accumulate(&[&x, &y], None, 0);
-        let second = accumulate(&[&x, &y], None, 0);
+        let first = fold(&[&x, &y], None, 0);
+        let second = fold(&[&x, &y], None, 0);
         let a: Vec<(Vec<u32>, f64)> = first.counts.iter_keyed().collect();
         let b: Vec<(Vec<u32>, f64)> = second.counts.iter_keyed().collect();
         assert_eq!(a, b, "iteration order must match between builds");
@@ -1037,41 +939,35 @@ mod tests {
         assert_eq!(h1, h2, "two fresh states must hash identically");
     }
 
-    #[test]
-    #[should_panic(expected = "invalid IPW weight")]
-    fn nan_weight_is_rejected() {
-        let x = enc(&[Some("a"), Some("b")]);
-        accumulate(&[&x], Some(&[1.0, f64::NAN]), DEFAULT_DENSE_CELLS);
+    /// Asserts that `got` is bit-identical to `oracle`: totals, tallies, cell
+    /// keys in iteration order (sparse order included), counts and entropy.
+    fn assert_bitwise_equal(got: &Accumulated, oracle: &Accumulated) {
+        assert_eq!(got.total.to_bits(), oracle.total.to_bits());
+        assert_eq!(got.complete_cases, oracle.complete_cases);
+        let a: Vec<(Vec<u32>, f64)> = got.counts.iter_keyed().collect();
+        let b: Vec<(Vec<u32>, f64)> = oracle.counts.iter_keyed().collect();
+        assert_eq!(a.len(), b.len());
+        for ((ka, va), (kb, vb)) in a.iter().zip(&b) {
+            assert_eq!(ka, kb, "cell keys (and sparse order) must match");
+            assert_eq!(va.to_bits(), vb.to_bits(), "cell {ka:?}");
+        }
+        assert_eq!(
+            got.counts.entropy(got.total).to_bits(),
+            oracle.counts.entropy(oracle.total).to_bits()
+        );
     }
 
-    #[test]
-    #[should_panic(expected = "invalid IPW weight")]
-    fn negative_weight_is_rejected() {
-        let x = enc(&[Some("a"), Some("b")]);
-        accumulate(&[&x], Some(&[1.0, -0.5]), DEFAULT_DENSE_CELLS);
-    }
-
-    /// Asserts that sealed-view accumulation is bit-identical to the dense
-    /// row-loop oracle on the same columns, in both layouts.
+    /// Asserts that the production fold over the sealed columns, and over
+    /// the plain ones, is bit-identical to the reference fold, in both
+    /// layouts.
     fn assert_views_match_oracle(cols: &[&EncodedColumn], weights: Option<&[f64]>) {
         let sealed: Vec<_> = cols.iter().map(|c| c.seal()).collect();
+        let sealed_views: Vec<ColumnView<'_>> = sealed.iter().map(ColumnView::from).collect();
         for dense_cells in [DEFAULT_DENSE_CELLS, 0] {
-            let oracle = accumulate(cols, weights, dense_cells);
-            let views: Vec<ColumnView<'_>> = sealed.iter().map(ColumnView::from).collect();
-            let got = accumulate_views(&views, weights, dense_cells);
-            assert_eq!(got.total.to_bits(), oracle.total.to_bits());
-            assert_eq!(got.complete_cases, oracle.complete_cases);
-            let a: Vec<(Vec<u32>, f64)> = got.counts.iter_keyed().collect();
-            let b: Vec<(Vec<u32>, f64)> = oracle.counts.iter_keyed().collect();
-            assert_eq!(a.len(), b.len());
-            for ((ka, va), (kb, vb)) in a.iter().zip(&b) {
-                assert_eq!(ka, kb, "cell keys (and sparse order) must match");
-                assert_eq!(va.to_bits(), vb.to_bits(), "cell {ka:?}");
-            }
-            assert_eq!(
-                got.counts.entropy(got.total).to_bits(),
-                oracle.counts.entropy(oracle.total).to_bits()
-            );
+            let oracle = reference_accumulate(cols, weights, dense_cells).unwrap();
+            let got = accumulate(&sealed_views, weights, dense_cells).unwrap();
+            assert_bitwise_equal(&got, &oracle);
+            assert_bitwise_equal(&fold(cols, weights, dense_cells), &oracle);
         }
     }
 
@@ -1134,40 +1030,34 @@ mod tests {
         let (r, s) = (enc(&runny), enc(&shuffled));
         assert_views_match_oracle(&[&r, &s], None);
         // Mixed states too: sealed runny column alongside a mutable column.
-        let oracle = accumulate(&[&r, &s], None, DEFAULT_DENSE_CELLS);
+        let oracle = reference_accumulate(&[&r, &s], None, DEFAULT_DENSE_CELLS).unwrap();
         let sealed_r = r.seal();
-        let got = accumulate_views(
+        let got = accumulate(
             &[ColumnView::from(&sealed_r), ColumnView::from(&s)],
             None,
             DEFAULT_DENSE_CELLS,
-        );
-        assert_eq!(got.total.to_bits(), oracle.total.to_bits());
-        assert_eq!(
-            got.counts.entropy(got.total).to_bits(),
-            oracle.counts.entropy(oracle.total).to_bits()
-        );
+        )
+        .unwrap();
+        assert_bitwise_equal(&got, &oracle);
     }
 
     #[test]
-    fn all_plain_views_delegate_to_oracle() {
+    fn all_plain_views_match_oracle() {
         let x = enc(&[Some("a"), Some("b"), None, Some("a")]);
-        let oracle = accumulate(&[&x], None, DEFAULT_DENSE_CELLS);
-        let got = accumulate_views(&[ColumnView::from(&x)], None, DEFAULT_DENSE_CELLS);
-        let a: Vec<(Vec<u32>, f64)> = got.counts.iter_keyed().collect();
-        let b: Vec<(Vec<u32>, f64)> = oracle.counts.iter_keyed().collect();
-        assert_eq!(a, b);
+        let oracle = reference_accumulate(&[&x], None, DEFAULT_DENSE_CELLS).unwrap();
+        assert_bitwise_equal(&fold(&[&x], None, DEFAULT_DENSE_CELLS), &oracle);
     }
 
     #[test]
     fn sealed_empty_and_all_null_columns() {
         let empty = enc(&[]);
         let sealed = empty.seal();
-        let got = accumulate_views(&[ColumnView::from(&sealed)], None, DEFAULT_DENSE_CELLS);
+        let got = accumulate(&[ColumnView::from(&sealed)], None, DEFAULT_DENSE_CELLS).unwrap();
         assert_eq!(got.complete_cases, 0);
         assert_eq!(got.total, 0.0);
         let all_null = enc(&[None, None, None]);
         let sealed = all_null.seal();
-        let got = accumulate_views(&[ColumnView::from(&sealed)], None, DEFAULT_DENSE_CELLS);
+        let got = accumulate(&[ColumnView::from(&sealed)], None, DEFAULT_DENSE_CELLS).unwrap();
         assert_eq!(got.complete_cases, 0);
     }
 
@@ -1175,11 +1065,12 @@ mod tests {
     fn sealed_zero_weights_are_skipped() {
         let x = enc(&[Some("a"), Some("a"), Some("b"), Some("b")]);
         let sealed = x.seal();
-        let got = accumulate_views(
+        let got = accumulate(
             &[ColumnView::from(&sealed)],
             Some(&[1.0, 0.0, 2.0, 0.0]),
             DEFAULT_DENSE_CELLS,
-        );
+        )
+        .unwrap();
         assert_eq!(got.complete_cases, 2);
         assert_eq!(got.total, 3.0);
     }

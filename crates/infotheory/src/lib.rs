@@ -2,15 +2,17 @@
 //!
 //! Weighted plug-in estimators for the information-theoretic quantities the
 //! MESA system is built on: entropy, conditional entropy, mutual information,
-//! conditional mutual information (the paper's partial-correlation measure),
-//! interaction information, conditional-independence tests, and approximate
-//! functional dependencies.
+//! conditional mutual information (the paper's partial-correlation measure)
+//! and the G-test of conditional independence.
 //!
-//! All estimators operate on the discrete [`tabular::EncodedColumn`]
-//! representation (numeric attributes are binned first, see
-//! [`tabular::bin_frame`]), use complete-case analysis over the involved
-//! columns, and accept optional per-row weights so that Inverse Probability
-//! Weighting can correct selection bias (Section 3.2 of the paper).
+//! All estimators take discrete columns as [`tabular::ColumnView`]s — plain
+//! [`tabular::EncodedColumn`]s or sealed [`tabular::SealedColumn`]s, with
+//! bit-identical results (numeric attributes are binned first, see
+//! [`tabular::bin_frame`]). They use complete-case analysis over the
+//! involved columns, accept optional per-row weights so that Inverse
+//! Probability Weighting can correct selection bias (Section 3.2 of the
+//! paper), and return invalid input as a [`tabular::TabularError`]. Each
+//! reaches the rows through one fold, [`kernel::accumulate`].
 //!
 //! ```
 //! use tabular::DataFrameBuilder;
@@ -41,20 +43,13 @@ pub mod special;
 
 pub use contingency::JointTable;
 pub use frame::{ColumnEncodingReport, EncodedFrame};
-pub use independence::{
-    approx_functional_dependency, ci_test, ci_test_table, ci_test_views,
-    is_conditionally_independent, logically_equivalent, CiTestConfig, CiTestResult,
-};
+pub use independence::{ci_test, ci_test_table, CiTestConfig, CiTestResult};
 pub use kernel::{
-    accumulate_views, adaptive_dense_cells, complete_case_mask, complete_case_mask_views,
-    dense_cell_count, dense_cell_count_views, FixedState, SparseCounts, DEFAULT_DENSE_CELLS,
-    DENSE_CELLS_FLOOR, DENSE_CELLS_PER_ROW,
+    adaptive_dense_cells, FixedState, SparseCounts, DEFAULT_DENSE_CELLS, DENSE_CELLS_FLOOR,
+    DENSE_CELLS_PER_ROW,
 };
 pub use measures::{
-    conditional_entropy, conditional_entropy_of_table, conditional_entropy_views,
-    conditional_mutual_information, conditional_mutual_information_views, entropy, entropy_view,
-    interaction_information, interaction_information_views, joint_entropy, joint_entropy_views,
-    mutual_information, mutual_information_views, normalized_mutual_information,
-    normalized_mutual_information_views,
+    conditional_entropy, conditional_entropy_of_table, conditional_mutual_information, entropy,
+    joint_entropy, mutual_information,
 };
 pub use special::{chi2_sf, gamma_p, ln_gamma};

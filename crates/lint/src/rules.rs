@@ -50,7 +50,7 @@ pub const KNOWN_RULES: &[&str] = &[
 pub const RULE_TABLE: &[(&str, &str)] = &[
     (
         RULE_SERVING_PANIC_FREE,
-        "no unwrap/expect/panic! in session, cache, pool or kernel",
+        "no unwrap/expect/panic! in session, cache, pool or the explain path",
     ),
     (
         RULE_SERVING_INDEX,
@@ -86,12 +86,22 @@ pub const RULE_TABLE: &[(&str, &str)] = &[
     ),
 ];
 
-/// Serving-path files where panicking constructs are forbidden.
+/// Serving-path files where panicking constructs are forbidden: the session
+/// and its caches, the pool, and the explain path from preparation through
+/// pruning, IPW and MCIMR down to the estimators and their kernel.
 const PANIC_FREE_FILES: &[&str] = &[
     "crates/mesa/src/session.rs",
     "crates/mesa/src/cache.rs",
     "crates/parallel/src/pool.rs",
     "crates/infotheory/src/kernel.rs",
+    "crates/infotheory/src/contingency.rs",
+    "crates/infotheory/src/measures.rs",
+    "crates/infotheory/src/independence.rs",
+    "crates/infotheory/src/frame.rs",
+    "crates/mesa/src/problem.rs",
+    "crates/mesa/src/pruning.rs",
+    "crates/mesa/src/missing.rs",
+    "crates/mesa/src/mcimr.rs",
 ];
 
 /// Serving-path files where unchecked indexing is forbidden. The kernel is

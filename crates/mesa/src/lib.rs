@@ -70,7 +70,7 @@ pub use problem::{
 pub use pruning::{prune, prune_offline, prune_online, PruneReason, PruningConfig, PruningReport};
 pub use report::{explanation_details, explanation_line, report_summary, subgroup_table};
 pub use responsibility::responsibilities;
-pub use session::{ExtractionCache, Session, SessionCacheStats, SessionLimits, SessionStats};
+pub use session::{ExtractionCache, Session, SessionCacheStats, SessionLimits};
 pub use subgroups::{unexplained_subgroups, Subgroup, SubgroupConfig};
 pub use system::{Mesa, MesaConfig, MesaReport};
 

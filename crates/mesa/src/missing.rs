@@ -292,8 +292,8 @@ fn analyze_with(
     // Independence of the selection indicator from outcome and exposure.
     let o = encoded.column(outcome)?;
     let t = encoded.column(exposure)?;
-    let r_vs_o = infotheory::ci_test_views((&r).into(), o, &[], None, ci);
-    let r_vs_t = infotheory::ci_test_views((&r).into(), t, &[], None, ci);
+    let r_vs_o = infotheory::ci_test((&r).into(), o, &[], None, ci)?;
+    let r_vs_t = infotheory::ci_test((&r).into(), t, &[], None, ci)?;
     let biased = !r_vs_o.independent || !r_vs_t.independent;
     if !biased {
         return Ok(SelectionBiasInfo {

@@ -8,7 +8,8 @@
 //!    extraction column;
 //! 3. bin numeric attributes so the information-theoretic estimators can work
 //!    over discrete codes;
-//! 4. encode every column once into an [`EncodedFrame`].
+//! 4. encode every column once into an [`EncodedFrame`] and seal it, so
+//!    every prepared frame holds compressed, immutable columns.
 //!
 //! Everything downstream — pruning, MCIMR, baselines, responsibility, the
 //! subgroup search — operates on the resulting [`PreparedQuery`].
@@ -50,7 +51,7 @@ pub struct PreparedQuery {
     pub query: AggregateQuery,
     /// The context-filtered, KG-joined, binned frame.
     pub frame: DataFrame,
-    /// Encoded (discrete) view of [`PreparedQuery::frame`].
+    /// Encoded (discrete) view of [`PreparedQuery::frame`], sealed.
     pub encoded: EncodedFrame,
     /// Candidate attribute names `A = E ∪ T \ {O, T}`.
     pub candidates: Vec<String>,
@@ -362,8 +363,8 @@ pub fn apply_query_context(df: &DataFrame, query: &AggregateQuery) -> Result<Dat
 /// The binning + encoding tail of [`prepare_query`], callable on a frame the
 /// caller has already joined (e.g. from a session's cached extraction
 /// tables): bins numeric attributes, threads the bin codes into the encoded
-/// frame, assembles the candidate set, and packs everything into a
-/// [`PreparedQuery`].
+/// frame, assembles the candidate set, seals the encoded frame, and packs
+/// everything into a [`PreparedQuery`].
 pub fn prepare_from_joined(
     query: &AggregateQuery,
     joined: DataFrame,
@@ -388,7 +389,7 @@ pub fn prepare_from_joined(
     // 4. Encoding + candidate assembly. Binned columns flow code-to-code:
     //    their encodings were produced by the binning pass, so only the
     //    remaining (categorical/bool) columns are encoded here.
-    let encoded = EncodedFrame::from_frame_with(&binned, bin_encodings);
+    let mut encoded = EncodedFrame::from_frame_with(&binned, bin_encodings);
     let candidates: Vec<String> = binned
         .column_names()
         .into_iter()
@@ -400,6 +401,10 @@ pub fn prepare_from_joined(
             "the frame only contains the exposure and outcome".into(),
         ));
     }
+    // 5. Sealing. The session memo holds prepared queries, and compressed
+    //    columns shrink them; every estimator reads them through the
+    //    run-aware kernel folds with bit-identical results.
+    encoded.seal();
 
     Ok(PreparedQuery {
         query: query.clone(),

@@ -225,10 +225,10 @@ fn online_verdict(
     // CountryCode ⇒ Country, or Country ⇒ Continent when the exposure is
     // the continent), so it is discarded.
     let eps = config.fd_epsilon;
-    if conditional_entropy_of_table(&JointTable::build_views(&[t, e], None)) <= eps {
+    if conditional_entropy_of_table(&JointTable::build(&[t, e], None)?) <= eps {
         return Ok(Some(PruneReason::LogicalDependency));
     }
-    let oe = JointTable::build_views(&[o, e], None);
+    let oe = JointTable::build(&[o, e], None)?;
     if conditional_entropy_of_table(&oe) <= eps {
         return Ok(Some(PruneReason::LogicalDependency));
     }
@@ -237,7 +237,7 @@ fn online_verdict(
     if !ci_test_table(&oe, config.ci).independent {
         return Ok(None);
     }
-    let oet = JointTable::build_views(&[o, e, t], None);
+    let oet = JointTable::build(&[o, e, t], None)?;
     Ok(ci_test_table(&oet, config.ci)
         .independent
         .then_some(PruneReason::LowRelevance))

@@ -246,25 +246,6 @@ impl SessionLimits {
     }
 }
 
-/// Cache counters of a [`Session`], for observability and tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SessionStats {
-    /// Column extractions served from the cache.
-    pub extraction_hits: usize,
-    /// Column extractions computed.
-    pub extraction_misses: usize,
-    /// Distinct extraction cache entries.
-    pub extraction_entries: usize,
-    /// Prepared queries served from the memo.
-    pub prepared_hits: usize,
-    /// Prepared queries computed.
-    pub prepared_misses: usize,
-    /// Explanation reports served from the memo.
-    pub report_hits: usize,
-    /// Explanation reports computed.
-    pub report_misses: usize,
-}
-
 /// Full per-tier counters of a [`Session`]'s caches, including evictions,
 /// coalesced (deduplicated) misses, and approximate resident bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -309,7 +290,7 @@ pub struct SessionCacheStats {
 /// let cold = session.explain(&q).unwrap();
 /// let warm = session.explain(&q).unwrap(); // served from the report memo
 /// assert_eq!(cold.explanation, warm.explanation);
-/// assert_eq!(session.stats().report_hits, 1);
+/// assert_eq!(session.cache_stats().reports.hits, 1);
 /// ```
 #[derive(Debug)]
 pub struct Session<'a> {
@@ -408,24 +389,8 @@ impl<'a> Session<'a> {
         self.limits
     }
 
-    /// Current cache counters.
-    pub fn stats(&self) -> SessionStats {
-        let extraction = self.extraction.as_ref().map(ExtractionCache::stats);
-        let prepared = self.prepared.stats();
-        let reports = self.reports.stats();
-        SessionStats {
-            extraction_hits: extraction.map_or(0, |s| s.hits),
-            extraction_misses: extraction.map_or(0, |s| s.misses),
-            extraction_entries: extraction.map_or(0, |s| s.entries),
-            prepared_hits: prepared.hits,
-            prepared_misses: prepared.misses,
-            report_hits: reports.hits,
-            report_misses: reports.misses,
-        }
-    }
-
-    /// Full per-tier cache counters, including evictions, coalesced misses,
-    /// and approximate resident bytes.
+    /// Per-tier cache counters: hits, misses, entries, evictions, coalesced
+    /// misses and approximate resident bytes.
     pub fn cache_stats(&self) -> SessionCacheStats {
         SessionCacheStats {
             prepared: self.prepared.stats(),
@@ -464,13 +429,7 @@ impl<'a> Session<'a> {
                     None => (filtered, Vec::new()),
                 };
                 parallel::checkpoint();
-                let mut prepared = prepare_from_joined(query, joined, joins, self.config.prepare)?;
-                // Seal the encoded frame before it enters the memo: cached
-                // residents hold compressed columns, and every estimator
-                // reads them through the run-aware kernel paths with
-                // bit-identical results.
-                prepared.encoded.seal();
-                Ok(prepared)
+                prepare_from_joined(query, joined, joins, self.config.prepare)
             })
     }
 
@@ -654,10 +613,11 @@ mod tests {
         let warm = session.explain(&q).unwrap();
         // same shared report object, not merely an equal one
         assert!(Arc::ptr_eq(&cold, &warm));
-        let stats = session.stats();
-        assert_eq!(stats.report_misses, 1);
-        assert_eq!(stats.report_hits, 1);
-        assert_eq!(stats.prepared_misses, 1);
+        let stats = session.cache_stats();
+        assert_eq!(stats.reports.misses, 1);
+        assert_eq!(stats.reports.hits, 1);
+        assert_eq!(stats.prepared.misses, 1);
+        assert!(session.prepare(&q).unwrap().encoded.is_sealed());
     }
 
     #[test]
@@ -669,12 +629,13 @@ mod tests {
             .with_context(Predicate::eq("Region", "Europe"));
         session.explain(&q_all).unwrap();
         session.explain(&q_europe).unwrap();
-        let stats = session.stats();
+        let stats = session.cache_stats();
         // the Europe context selects a different distinct-value set, so the
         // extraction cannot be served from the cache
-        assert_eq!(stats.extraction_misses, 2);
-        assert_eq!(stats.extraction_entries, 2);
-        assert_eq!(stats.report_misses, 2);
+        let extraction = stats.extraction.unwrap();
+        assert_eq!(extraction.misses, 2);
+        assert_eq!(extraction.entries, 2);
+        assert_eq!(stats.reports.misses, 2);
     }
 
     #[test]
@@ -687,10 +648,11 @@ mod tests {
         let q2 = AggregateQuery::avg("Region", "Salary");
         session.prepare(&q1).unwrap();
         session.prepare(&q2).unwrap();
-        let stats = session.stats();
-        assert_eq!(stats.extraction_misses, 1);
-        assert_eq!(stats.extraction_hits, 1);
-        assert_eq!(stats.prepared_misses, 2);
+        let stats = session.cache_stats();
+        let extraction = stats.extraction.unwrap();
+        assert_eq!(extraction.misses, 1);
+        assert_eq!(extraction.hits, 1);
+        assert_eq!(stats.prepared.misses, 2);
     }
 
     #[test]
@@ -729,7 +691,7 @@ mod tests {
         let results = session.explain_many(&batch);
         assert_eq!(results.len(), 3);
         // duplicates computed once
-        assert_eq!(session.stats().report_misses, 2);
+        assert_eq!(session.cache_stats().reports.misses, 2);
         let r0 = results[0].as_ref().unwrap();
         let r2 = results[2].as_ref().unwrap();
         assert!(Arc::ptr_eq(r0, r2));
@@ -757,7 +719,7 @@ mod tests {
         let q = AggregateQuery::avg("Country", "Salary");
         let report = session.explain(&q).unwrap();
         assert_eq!(report.n_extracted, 0);
-        assert_eq!(session.stats().extraction_misses, 0);
+        assert!(session.cache_stats().extraction.is_none());
     }
 
     #[test]

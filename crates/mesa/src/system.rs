@@ -392,6 +392,10 @@ mod tests {
         let mesa = Mesa::new();
         let q = AggregateQuery::avg("Country", "Salary");
         let prepared = mesa.prepare(&df, &q, Some(&g), &["Country"]).unwrap();
+        // Both entry points hand out frames sealed at preparation.
+        assert!(prepared.encoded.is_sealed());
+        let direct = prepare_query(&df, &q, Some(&g), &["Country"], mesa.config().prepare).unwrap();
+        assert!(direct.encoded.is_sealed());
         let a = mesa.explain_prepared(&prepared).unwrap();
         let b = mesa.explain(&df, &q, Some(&g), &["Country"]).unwrap();
         assert_eq!(a.explanation.attributes, b.explanation.attributes);

@@ -64,6 +64,6 @@ fn main() {
     assert_eq!(again.explanation, report.explanation);
     println!(
         "(asked again: served from the session cache, {} hit(s))",
-        session.stats().report_hits
+        session.cache_stats().reports.hits
     );
 }

@@ -47,11 +47,11 @@ fn main() {
     println!("== SO Q3: average salary per country in Europe ==\n");
     println!("{}", explanation_details(&report_eu.explanation));
 
-    let stats = session.stats();
+    let stats = session.cache_stats();
     println!(
         "(session served {} queries: {} prepared, {} report cache hits)",
-        stats.report_hits + stats.report_misses,
-        stats.prepared_misses,
-        stats.report_hits
+        stats.reports.hits + stats.reports.misses,
+        stats.prepared.misses,
+        stats.reports.hits
     );
 }

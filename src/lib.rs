@@ -26,7 +26,7 @@
 //! | §4.3 Algorithm 2 | Top-k unexplained data subgroups | [`mesa::subgroups`] |
 //! | §5 evaluation | Synthetic world, the four datasets, the 14-query workload | [`datagen`]; experiment binaries in `crates/bench/src/bin` |
 //! | §5 baselines | Brute-Force, Top-K, Linear Regression, HypDB | [`mesa::baselines`] |
-//! | (infrastructure) | Entropy / CMI estimators, CI tests, the dense counting kernel | [`infotheory`] ([`infotheory::EncodedFrame`], `infotheory::kernel`) |
+//! | (infrastructure) | Entropy / CMI estimators and the G-test over plain or sealed columns, all reaching the rows through one fallible fold | [`infotheory`] ([`infotheory::EncodedFrame`], [`infotheory::kernel::accumulate`]) |
 //! | (infrastructure) | Persistent work-sharing pool (nested fan-outs, `MESA_THREADS`) shared by extraction, scoring, sessions | `parallel` (re-exported as [`mesa::parallel_map`], controls under [`mesa::parallel`]) |
 //!
 //! ## Two ways to run the system
@@ -83,7 +83,7 @@
 //! // Asking again is a memo lookup, byte-identical to the first answer.
 //! let again = session.explain(&by_country).unwrap();
 //! assert_eq!(again.explanation, report.explanation);
-//! assert!(session.stats().report_hits >= 1);
+//! assert!(session.cache_stats().reports.hits >= 1);
 //!
 //! // The one-shot facade runs the same staged pipeline underneath.
 //! let one_shot = mesa.explain(&df, &by_country, Some(&graph), &["Country"]).unwrap();

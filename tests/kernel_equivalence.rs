@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use mesa_repro::infotheory::JointTable;
-use mesa_repro::tabular::EncodedColumn;
+use mesa_repro::tabular::{ColumnView, EncodedColumn};
 
 /// Strategy: per-row cells as `(code, present)` pairs encoded in one integer:
 /// value `0` is a missing cell, `v >= 1` is code `v - 1`.
@@ -19,10 +19,16 @@ fn to_column(cells: &[u32], card: u32) -> EncodedColumn {
     EncodedColumn::from_option_codes(cells.iter().map(|&v| v.checked_sub(1)), labels)
 }
 
-/// Entropy of the joint table of `cols` built with an explicit dense-cell
-/// threshold (`0` forces the sparse hash path).
+/// The joint table of `cols` built with an explicit dense-cell threshold
+/// (`0` forces the sparse hash path).
+fn table(cols: &[&EncodedColumn], weights: Option<&[f64]>, dense_cells: usize) -> JointTable {
+    let views: Vec<ColumnView<'_>> = cols.iter().map(|&c| c.into()).collect();
+    JointTable::build_with_threshold(&views, weights, dense_cells).unwrap()
+}
+
+/// Entropy of the joint table of `cols` built at the given threshold.
 fn entropy_with(cols: &[&EncodedColumn], weights: Option<&[f64]>, dense_cells: usize) -> f64 {
-    JointTable::build_with_threshold(cols, weights, dense_cells).entropy()
+    table(cols, weights, dense_cells).entropy()
 }
 
 /// `I(X;Y)` computed from one joint table built at the given threshold.
@@ -32,7 +38,7 @@ fn mi_with(
     weights: Option<&[f64]>,
     dense_cells: usize,
 ) -> f64 {
-    let joint = JointTable::build_with_threshold(&[x, y], weights, dense_cells);
+    let joint = table(&[x, y], weights, dense_cells);
     let hx = joint.marginal(&[0]).entropy();
     let hy = joint.marginal(&[1]).entropy();
     (hx + hy - joint.entropy()).max(0.0)
@@ -82,8 +88,8 @@ proptest! {
     ) {
         let x = to_column(&xs, 4);
         let y = to_column(&ys, 2);
-        let dense = JointTable::build_with_threshold(&[&x, &y], Some(&ws), DENSE);
-        let sparse = JointTable::build_with_threshold(&[&x, &y], Some(&ws), SPARSE);
+        let dense = table(&[&x, &y], Some(&ws), DENSE);
+        let sparse = table(&[&x, &y], Some(&ws), SPARSE);
         prop_assert!((dense.total() - sparse.total()).abs() < 1e-9);
         prop_assert_eq!(dense.complete_cases(), sparse.complete_cases());
         prop_assert_eq!(dense.n_cells(), sparse.n_cells());
@@ -101,8 +107,8 @@ proptest! {
         let x = to_column(&xs, 3);
         let y = to_column(&ys, 3);
         let z = to_column(&zs, 2);
-        let dense = JointTable::build_with_threshold(&[&x, &y, &z], None, DENSE);
-        let sparse = JointTable::build_with_threshold(&[&x, &y, &z], None, SPARSE);
+        let dense = table(&[&x, &y, &z], None, DENSE);
+        let sparse = table(&[&x, &y, &z], None, SPARSE);
         prop_assert!(dense.is_dense());
         prop_assert!(!sparse.is_dense());
         prop_assert_eq!(dense.complete_cases(), sparse.complete_cases());
@@ -123,10 +129,10 @@ proptest! {
         let x = to_column(&xs, 4);
         let all_missing = to_column(&[0; 40], 4);
         for threshold in [DENSE, SPARSE] {
-            let t = JointTable::build_with_threshold(&[&all_missing], None, threshold);
+            let t = table(&[&all_missing], None, threshold);
             prop_assert!(t.is_empty());
             prop_assert_eq!(t.entropy(), 0.0);
-            let joint = JointTable::build_with_threshold(&[&x, &all_missing], None, threshold);
+            let joint = table(&[&x, &all_missing], None, threshold);
             prop_assert!(joint.is_empty());
             prop_assert_eq!(joint.complete_cases(), 0);
         }

@@ -5,9 +5,8 @@
 use proptest::prelude::*;
 
 use mesa_repro::infotheory::{
-    ci_test_table, ci_test_views, conditional_entropy, conditional_mutual_information,
-    conditional_mutual_information_views, entropy, joint_entropy, mutual_information, CiTestConfig,
-    JointTable,
+    ci_test, ci_test_table, conditional_entropy, conditional_mutual_information, entropy,
+    joint_entropy, mutual_information, CiTestConfig, JointTable,
 };
 use mesa_repro::tabular::{
     bin_column, BinStrategy, Column, ColumnView, DataFrame, EncodedColumn, Value,
@@ -29,7 +28,7 @@ proptest! {
     #[test]
     fn entropy_bounds(codes in coded_column(60, 5)) {
         let x = to_encoded(&codes);
-        let h = entropy(&x, None);
+        let h = entropy((&x).into(), None).unwrap();
         prop_assert!(h >= 0.0);
         prop_assert!(h <= (x.cardinality().max(1) as f64).log2() + 1e-9);
     }
@@ -42,11 +41,13 @@ proptest! {
     ) {
         let x = to_encoded(&xs);
         let y = to_encoded(&ys);
-        let ixy = mutual_information(&x, &y, None);
-        let iyx = mutual_information(&y, &x, None);
+        let ixy = mutual_information((&x).into(), (&y).into(), None).unwrap();
+        let iyx = mutual_information((&y).into(), (&x).into(), None).unwrap();
         prop_assert!((ixy - iyx).abs() < 1e-9);
         prop_assert!(ixy >= 0.0);
-        prop_assert!(ixy <= entropy(&x, None).min(entropy(&y, None)) + 1e-9);
+        let hx = entropy((&x).into(), None).unwrap();
+        let hy = entropy((&y).into(), None).unwrap();
+        prop_assert!(ixy <= hx.min(hy) + 1e-9);
     }
 
     /// H(X,Y) = H(X) + H(Y|X) (chain rule) on fully observed data.
@@ -57,8 +58,9 @@ proptest! {
     ) {
         let x = to_encoded(&xs);
         let y = to_encoded(&ys);
-        let joint = joint_entropy(&[&x, &y], None);
-        let chained = entropy(&x, None) + conditional_entropy(&y, &[&x], None);
+        let joint = joint_entropy(&[(&x).into(), (&y).into()], None).unwrap();
+        let chained = entropy((&x).into(), None).unwrap()
+            + conditional_entropy((&y).into(), &[(&x).into()], None).unwrap();
         prop_assert!((joint - chained).abs() < 1e-9, "joint={joint}, chained={chained}");
     }
 
@@ -72,8 +74,11 @@ proptest! {
         let x = to_encoded(&xs);
         let y = to_encoded(&ys);
         let z = to_encoded(&zs);
-        prop_assert!(conditional_mutual_information(&x, &y, &[&z], None) >= 0.0);
-        prop_assert!(conditional_mutual_information(&x, &y, &[&x], None) < 1e-9);
+        let cmi = |given: &EncodedColumn| {
+            conditional_mutual_information((&x).into(), (&y).into(), &[given.into()], None).unwrap()
+        };
+        prop_assert!(cmi(&z) >= 0.0);
+        prop_assert!(cmi(&x) < 1e-9);
     }
 
     /// Uniform per-row weights leave every estimate unchanged.
@@ -86,8 +91,8 @@ proptest! {
         let x = to_encoded(&xs);
         let y = to_encoded(&ys);
         let w = vec![scale; xs.len()];
-        let unweighted = mutual_information(&x, &y, None);
-        let weighted = mutual_information(&x, &y, Some(&w));
+        let unweighted = mutual_information((&x).into(), (&y).into(), None).unwrap();
+        let weighted = mutual_information((&x).into(), (&y).into(), Some(&w)).unwrap();
         prop_assert!((unweighted - weighted).abs() < 1e-9);
     }
 
@@ -140,7 +145,7 @@ proptest! {
         }
     }
 
-    /// `ci_test_views` takes its CMI from the joint table it builds for the
+    /// `ci_test` takes its CMI from the joint table it builds for the
     /// degrees of freedom: bit for bit the standalone CMI, and the G-test of
     /// that table, over plain and sealed columns, weighted and unweighted
     /// rows, 0–2 conditioning columns, nulls, all-null columns, and dense
@@ -180,10 +185,10 @@ proptest! {
         let weights = (weighted == 1).then_some(ws.as_slice());
         let config = CiTestConfig::default();
         let z = &views[2..2 + n_cond];
-        let test = ci_test_views(views[0], views[1], z, weights, config);
-        let cmi = conditional_mutual_information_views(views[0], views[1], z, weights);
+        let test = ci_test(views[0], views[1], z, weights, config).unwrap();
+        let cmi = conditional_mutual_information(views[0], views[1], z, weights).unwrap();
         prop_assert_eq!(test.cmi.to_bits(), cmi.to_bits());
-        let table = JointTable::build_views(&views[..2 + n_cond], weights);
+        let table = JointTable::build(&views[..2 + n_cond], weights).unwrap();
         prop_assert_eq!(table.is_dense(), high == 0);
         prop_assert_eq!(ci_test_table(&table, config), test);
     }

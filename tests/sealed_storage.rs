@@ -1,15 +1,13 @@
 //! Property tests for the sealed column storage layer: `seal → view/decode`
 //! must reproduce the mutable column exactly for every encoding and null
-//! pattern, and the run-aware kernel paths must produce **bit-identical**
-//! estimates to the dense reference oracle — on shuffled (bitpacked-leaning)
-//! and adversarially runny (RLE-leaning) inputs alike.
+//! pattern, and the kernel's production folds must produce **bit-identical**
+//! counts to the row-at-a-time reference fold — on shuffled
+//! (bitpacked-leaning) and adversarially runny (RLE-leaning) inputs alike.
 
 use proptest::prelude::*;
 
-use mesa_repro::infotheory::{
-    conditional_mutual_information, conditional_mutual_information_views, entropy, entropy_view,
-    mutual_information, mutual_information_views, JointTable,
-};
+use mesa_repro::infotheory::kernel::{accumulate, reference_accumulate, Accumulated};
+use mesa_repro::infotheory::{conditional_mutual_information, entropy, mutual_information};
 use mesa_repro::tabular::{ColumnView, EncodedColumn, Encoding};
 
 /// Strategy: per-row cells with `0` = missing and `v >= 1` = code `v - 1`
@@ -60,19 +58,33 @@ fn assert_seal_round_trip(col: &EncodedColumn) {
     assert_eq!(pos, col.len());
 }
 
-/// Compares plain-vs-sealed estimates bit-for-bit at both kernel layouts
-/// (dense mixed-radix and sparse hash), weighted and unweighted.
+/// Asserts that `got` matches the reference fold's `oracle` bit for bit:
+/// tallies, observed cells, total weight and entropy.
+fn assert_bitwise_equal(got: &Accumulated, oracle: &Accumulated) {
+    assert_eq!(got.complete_cases, oracle.complete_cases);
+    assert_eq!(got.counts.n_cells(), oracle.counts.n_cells());
+    assert_eq!(got.total.to_bits(), oracle.total.to_bits());
+    assert_eq!(
+        got.counts.entropy(got.total).to_bits(),
+        oracle.counts.entropy(oracle.total).to_bits()
+    );
+}
+
+/// Compares the production fold over sealed and over plain columns with the
+/// reference fold, bit for bit, at both kernel layouts (dense mixed-radix
+/// and sparse hash), weighted and unweighted.
 fn assert_bitwise_kernel_parity(cols: &[&EncodedColumn], weights: Option<&[f64]>) {
     let sealed: Vec<_> = cols.iter().map(|c| c.seal()).collect();
     let plain: Vec<ColumnView<'_>> = cols.iter().map(|&c| c.into()).collect();
     let views: Vec<ColumnView<'_>> = sealed.iter().map(ColumnView::from).collect();
     for dense_cells in [1usize << 20, 0] {
-        let reference = JointTable::build_views_with_threshold(&plain, weights, dense_cells);
-        let run_aware = JointTable::build_views_with_threshold(&views, weights, dense_cells);
-        assert_eq!(reference.complete_cases(), run_aware.complete_cases());
-        assert_eq!(reference.n_cells(), run_aware.n_cells());
-        assert_eq!(reference.total().to_bits(), run_aware.total().to_bits());
-        assert_eq!(reference.entropy().to_bits(), run_aware.entropy().to_bits());
+        let reference = reference_accumulate(cols, weights, dense_cells).unwrap();
+        let run_aware = accumulate(&views, weights, dense_cells).unwrap();
+        assert_bitwise_equal(&run_aware, &reference);
+        assert_bitwise_equal(
+            &accumulate(&plain, weights, dense_cells).unwrap(),
+            &reference,
+        );
     }
 }
 
@@ -112,7 +124,7 @@ proptest! {
         assert_seal_round_trip(&col);
     }
 
-    /// Kernel parity on random columns: dense oracle vs run-aware fold,
+    /// Kernel parity on random columns: reference fold vs production fold,
     /// unweighted, both table layouts, bit-identical.
     #[test]
     fn sealed_kernel_matches_oracle_random(
@@ -159,27 +171,25 @@ proptest! {
         let z = to_column(&zs[..n], 2);
         let (sx, sy, sz) = (x.seal(), y.seal(), z.seal());
         prop_assert_eq!(
-            entropy(&x, None).to_bits(),
-            entropy_view(ColumnView::from(&sx), None).to_bits()
+            entropy((&x).into(), None).unwrap().to_bits(),
+            entropy((&sx).into(), None).unwrap().to_bits()
         );
         prop_assert_eq!(
-            mutual_information(&x, &y, None).to_bits(),
-            mutual_information_views((&sx).into(), (&sy).into(), None).to_bits()
+            mutual_information((&x).into(), (&y).into(), None).unwrap().to_bits(),
+            mutual_information((&sx).into(), (&sy).into(), None).unwrap().to_bits()
         );
         prop_assert_eq!(
-            conditional_mutual_information(&x, &y, &[&z], None).to_bits(),
-            conditional_mutual_information_views(
-                (&sx).into(),
-                (&sy).into(),
-                &[(&sz).into()],
-                None
-            )
-            .to_bits()
+            conditional_mutual_information((&x).into(), (&y).into(), &[(&z).into()], None)
+                .unwrap()
+                .to_bits(),
+            conditional_mutual_information((&sx).into(), (&sy).into(), &[(&sz).into()], None)
+                .unwrap()
+                .to_bits()
         );
     }
 
-    /// Mixed lifecycle states in one table (sealed exposure, mutable outcome)
-    /// still match the all-mutable oracle bit for bit.
+    /// Mixed lifecycle states in one fold (sealed exposure, mutable outcome)
+    /// still match the reference fold bit for bit.
     #[test]
     fn mixed_states_match_oracle(
         xvals in prop::collection::vec(0u32..=3, 1..8),
@@ -192,12 +202,13 @@ proptest! {
         let y = to_column(&ys[..n], 4);
         let sx = x.seal();
         for dense_cells in [1usize << 20, 0] {
-            let oracle =
-                JointTable::build_views_with_threshold(&[(&x).into(), (&y).into()], None, dense_cells);
-            let mixed =
-                JointTable::build_views_with_threshold(&[(&sx).into(), (&y).into()], None, dense_cells);
-            prop_assert_eq!(oracle.complete_cases(), mixed.complete_cases());
-            prop_assert_eq!(oracle.entropy().to_bits(), mixed.entropy().to_bits());
+            let oracle = reference_accumulate(&[&x, &y], None, dense_cells).unwrap();
+            let mixed = accumulate(&[(&sx).into(), (&y).into()], None, dense_cells).unwrap();
+            prop_assert_eq!(oracle.complete_cases, mixed.complete_cases);
+            prop_assert_eq!(
+                oracle.counts.entropy(oracle.total).to_bits(),
+                mixed.counts.entropy(mixed.total).to_bits()
+            );
         }
     }
 

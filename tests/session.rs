@@ -65,9 +65,9 @@ fn warm_explain_is_byte_identical_to_cold() {
         }
         // the SO workload shares extraction across its trivial-context
         // queries, so at least one lookup must have been served from cache
-        let stats = session.stats();
-        assert_eq!(stats.report_misses, queries.len());
-        assert_eq!(stats.report_hits, queries.len());
+        let stats = session.cache_stats();
+        assert_eq!(stats.reports.misses, queries.len());
+        assert_eq!(stats.reports.hits, queries.len());
     }
 }
 
@@ -100,7 +100,7 @@ fn explain_many_is_byte_identical_to_sequential_explain() {
     for (b, w) in batched.iter().zip(&warm) {
         assert!(Arc::ptr_eq(b.as_ref().unwrap(), w.as_ref().unwrap()));
     }
-    assert_eq!(batched_session.stats().report_misses, queries.len());
+    assert_eq!(batched_session.cache_stats().reports.misses, queries.len());
 }
 
 #[test]
@@ -169,7 +169,7 @@ fn cache_keys_do_not_alias_across_hops_policy_or_query() {
     let all = session.explain(&q).unwrap();
     let europe = session.explain(&q_europe).unwrap();
     assert_ne!(render(&all), render(&europe));
-    let stats = session.stats();
-    assert_eq!(stats.report_misses, 2);
-    assert_eq!(stats.report_hits, 0);
+    let stats = session.cache_stats();
+    assert_eq!(stats.reports.misses, 2);
+    assert_eq!(stats.reports.hits, 0);
 }
