@@ -2,23 +2,17 @@
 //! encoding) stage by stage and end to end, per dataset, plus the full
 //! 14-query workload of `table2_explanations`/`table3_scores`.
 //!
-//! Emits `BENCH_prepare.json`; the committed copy is the canonical record of
-//! the columnar prepare path (code-based gather join, borrowed-slice binning,
-//! reused bin codes). Two kinds of reference entries ride along so the file
-//! carries its own before/after comparison on any machine: the
-//! `<dataset>/join_rendered` entries time the retained rendered-string
-//! reference join ([`tabular::join_rendered`]) over the same inputs, and the
-//! `<dataset>/bin` + `<dataset>/encode_rehash` pair times the standalone
-//! bin-then-re-encode decomposition, versus `<dataset>/bin_encode` which is
-//! the shipping `bin_frame_encoded` → `from_frame_with` path that
-//! `prepare_query` actually runs.
+//! Emits `BENCH_prepare.json`, the canonical record of the columnar prepare
+//! path: `<dataset>/join` times the code-based gather join,
+//! `<dataset>/bin_encode` the `bin_frame_encoded` → `from_frame_with` path
+//! that `prepare_query` runs, and `<dataset>/prepare` the whole stage.
 
 use bench::report::BenchReport;
 use bench::{prepare_workload, ExperimentData, Scale};
 use datagen::representative_queries;
 use infotheory::EncodedFrame;
 use mesa::{extract_and_join, ExtractionJoin, PrepareConfig};
-use tabular::{bin_frame, bin_frame_encoded, DataFrame, JoinKind};
+use tabular::{bin_frame_encoded, join, DataFrame, JoinKind};
 
 /// Repetitions of the `bin_encode` entry (at least [`bench::DEFAULT_REPS`],
 /// which is what `BenchReport::time` runs).
@@ -46,13 +40,12 @@ fn join_stage_inputs(data: &ExperimentData, wq: &datagen::WorkloadQuery) -> Join
     JoinStage { filtered, tables }
 }
 
-fn replay_joins<F>(stage: &JoinStage, join_fn: F) -> DataFrame
-where
-    F: Fn(&DataFrame, &DataFrame, &str, &str) -> tabular::Result<DataFrame>,
-{
+/// Left-joins the stage's extraction tables onto the filtered frame, in
+/// order, as `prepare_query` does.
+fn replay_joins(stage: &JoinStage) -> DataFrame {
     let mut joined = stage.filtered.clone();
     for ej in &stage.tables {
-        joined = join_fn(&joined, &ej.table, &ej.column, &ej.key).expect("join");
+        joined = join(&joined, &ej.table, &ej.column, &ej.key, JoinKind::Left).expect("join");
     }
     joined
 }
@@ -75,19 +68,10 @@ fn main() {
         let rows = stage.filtered.n_rows();
 
         let join_ms = report.time(&format!("{name}/join"), rows, 5, || {
-            std::hint::black_box(replay_joins(&stage, |l, r, on, key| {
-                tabular::join(l, r, on, key, JoinKind::Left)
-            }));
-        });
-        let rendered_ms = report.time(&format!("{name}/join_rendered"), rows, 5, || {
-            std::hint::black_box(replay_joins(&stage, |l, r, on, key| {
-                tabular::join_rendered(l, r, on, key, JoinKind::Left)
-            }));
+            std::hint::black_box(replay_joins(&stage));
         });
 
-        let joined = replay_joins(&stage, |l, r, on, key| {
-            tabular::join(l, r, on, key, JoinKind::Left)
-        });
+        let joined = replay_joins(&stage);
         let config = PrepareConfig::default();
         // The shipping pipeline's discretisation: binning that emits codes,
         // threaded into the encoded frame (what prepare_query runs). Binning
@@ -102,25 +86,12 @@ fn main() {
                         .expect("binning");
                 std::hint::black_box(EncodedFrame::from_frame_with(&binned, encodings));
             });
-        // Reference decomposition of the same work on the standalone APIs:
-        // bin without code emission, then re-encode every column from
-        // scratch (the pre-columnar shape of the encode step).
-        let bin_ms = report.time(&format!("{name}/bin"), rows, 5, || {
-            std::hint::black_box(
-                bin_frame(&joined, config.n_bins, config.bin_strategy, &[]).expect("binning"),
-            );
-        });
-        let binned = bin_frame(&joined, config.n_bins, config.bin_strategy, &[]).expect("binning");
-        let encode_ms = report.time(&format!("{name}/encode_rehash"), rows, 5, || {
-            std::hint::black_box(EncodedFrame::from_frame(&binned));
-        });
         let prepare_ms = report.time(&format!("{name}/prepare"), rows, 5, || {
             std::hint::black_box(prepare_workload(&data, wq).expect("prepare"));
         });
         println!(
-            "{name:<12} {rows:>6} rows  join {join_ms:>8.3} ms (rendered {rendered_ms:>8.3})  \
-             bin+encode {bin_encode_ms:>8.3} ms (split {bin_ms:>8.3} + {encode_ms:>8.3})  \
-             prepare {prepare_ms:>8.3} ms"
+            "{name:<12} {rows:>6} rows  join {join_ms:>8.3} ms  \
+             bin+encode {bin_encode_ms:>8.3} ms  prepare {prepare_ms:>8.3} ms"
         );
     }
 

@@ -1,11 +1,12 @@
-//! Shared harness code for the experiment binaries in `src/bin/` and the
-//! Criterion benchmarks in `benches/`.
+//! Shared harness code for the experiment binaries in `src/bin/`.
 //!
-//! Every binary regenerates one table or figure of the paper's evaluation
-//! (see `DESIGN.md` for the per-experiment index and `EXPERIMENTS.md` for the
-//! recorded results). The harness keeps the experiment setup — world
-//! generation, dataset sizes, method roster, the simulated judge — in one
-//! place so every experiment runs against the same synthetic world.
+//! Every binary regenerates one table or figure of the paper's evaluation,
+//! or one appendix experiment, and writes its timings to a
+//! `BENCH_<name>.json` record through [`BenchReport`] (the README's
+//! "Reproducing the benchmarks" section lists them). The harness keeps the
+//! experiment setup — world generation, dataset sizes, method roster, the
+//! simulated judge — in one place so every experiment runs against the same
+//! synthetic world.
 //!
 //! Run an experiment with, e.g.:
 //!

@@ -8,7 +8,7 @@
 //! All estimators take discrete columns as [`tabular::ColumnView`]s — plain
 //! [`tabular::EncodedColumn`]s or sealed [`tabular::SealedColumn`]s, with
 //! bit-identical results (numeric attributes are binned first, see
-//! [`tabular::bin_frame`]). They use complete-case analysis over the
+//! [`tabular::bin_frame_encoded`]). They use complete-case analysis over the
 //! involved columns, accept optional per-row weights so that Inverse
 //! Probability Weighting can correct selection bias (Section 3.2 of the
 //! paper), and return invalid input as a [`tabular::TabularError`]. Each

@@ -496,26 +496,31 @@ mod tests {
                 .expect("weighted");
             assert_eq!(bits(weights), bits(&alone), "{name}");
 
-            // The fit as written before the design was shared: predictor
-            // columns, `logistic_fit`, and a fresh feature vector per row.
+            // The fit as written before the design was shared: a design over
+            // its own `f64` predictor columns, and a fresh `[1, x…]` row per
+            // prediction.
             let r: Vec<f64> = selection_indicator(encoded.column(name).unwrap())
                 .codes()
                 .iter()
                 .map(|&c| f64::from(c))
                 .collect();
-            let predictors: Vec<(String, Vec<f64>)> = features
+            let predictors: Vec<Vec<f64>> = features
                 .iter()
                 .map(|f| {
                     let codes = encoded.column(f).unwrap().codes();
-                    (f.clone(), codes.iter().map(|&c| f64::from(c)).collect())
+                    codes.iter().map(|&c| f64::from(c)).collect()
                 })
                 .collect();
-            let model = stats::logistic_fit(&r, &predictors, LogisticConfig::default()).unwrap();
+            let columns: Vec<&[f64]> = predictors.iter().map(Vec::as_slice).collect();
+            let design = Design::from_columns(n, &columns).unwrap();
+            let model = irls(&design, &r, None, LogisticConfig::default()).unwrap();
             let marginal = r.iter().sum::<f64>() / n as f64;
             let textbook: Vec<f64> = (0..n)
                 .map(|i| {
-                    let x: Vec<f64> = predictors.iter().map(|(_, v)| v[i]).collect();
-                    let p = model.predict_proba(&x).clamp(0.05, 1.0);
+                    let x: Vec<f64> = std::iter::once(1.0)
+                        .chain(predictors.iter().map(|v| v[i]))
+                        .collect();
+                    let p = model.predict_row(&x).clamp(0.05, 1.0);
                     if r[i] > 0.5 {
                         marginal / p
                     } else {

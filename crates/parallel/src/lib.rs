@@ -5,12 +5,15 @@
 //! candidate scoring, `explain_many` batch fan-out, and the selection-bias
 //! analysis.
 //!
-//! [`parallel_map`] keeps the contract the old scoped-thread chunker had —
-//! results assembled in input order, panics propagated, auto-serial for
-//! small inputs — but executes on a lazily-built process-wide pool instead
-//! of spawning fresh OS threads per call (see [`pool`] module docs for the
-//! runtime design: lock-free batch claiming with adaptive grain, parked
-//! workers, and composable nested fan-outs that never spawn or deadlock).
+//! [`parallel_map`] applies a function to every item of a slice and
+//! returns the results in input order. Inputs below [`FanOut`]'s
+//! `min_items` run serially on the calling thread; larger ones run on a
+//! lazily-built process-wide pool, and a fan-out called from inside a pool
+//! task shares that pool instead of spawning threads. The first panic
+//! raised by an item is re-raised on the caller once every in-flight item
+//! has drained (see [`pool`] module docs for the runtime design: lock-free
+//! batch claiming with adaptive grain, parked workers, and composable
+//! nested fan-outs that never spawn or deadlock).
 //!
 //! ## Thread-count governance
 //!
@@ -53,12 +56,10 @@ pub mod deadline;
 pub mod faults;
 pub mod memory;
 pub mod pool;
-pub mod scoped;
 
 pub use deadline::{checkpoint, current_deadline, with_deadline, Cancelled, Deadline};
 pub use memory::release_free_memory;
 pub use pool::{effective_threads, set_threads, with_thread_cap};
-pub use scoped::scoped_map;
 
 /// Declares a named fault-injection point. Expands to a
 /// `faults::hit` call when the *calling* crate enables its
@@ -237,25 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn scoped_reference_joins_all_before_resuming() {
-        // Two panicking chunks: the old `join().expect()` pattern aborted
-        // here (panic during unwind in the scope guard); the fixed version
-        // joins everything and resumes the first payload.
-        let items: Vec<usize> = (0..64).collect();
-        let result = std::panic::catch_unwind(|| {
-            scoped_map(&items, 4, |_, &x| {
-                if x % 16 == 3 {
-                    panic!("chunk panic at {x}");
-                }
-                x
-            })
-        });
-        assert!(result.is_err());
-        let ok = scoped_map(&items, 4, |i, &x| i + x);
-        assert_eq!(ok[10], 20);
-    }
-
-    #[test]
     fn expired_deadline_cancels_fan_out_and_pool_survives() {
         pool4();
         let items: Vec<usize> = (0..256).collect();
@@ -312,7 +294,11 @@ mod tests {
         pool4();
         let items: Vec<u64> = (0..200).collect();
         let pooled = parallel_map(&items, |i, &x| x * x + i as u64);
-        let scoped = scoped_map(&items, 4, |i, &x| x * x + i as u64);
-        assert_eq!(pooled, scoped);
+        let serial: Vec<u64> = items
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| x * x + i as u64)
+            .collect();
+        assert_eq!(pooled, serial);
     }
 }

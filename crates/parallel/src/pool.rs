@@ -9,8 +9,8 @@
 //! shared registry and wakes the workers; the job distributes its items
 //! internally through a lock-free claim counter — every participant grabs
 //! the next batch of `grain` indices with one `fetch_add`, so a slow item
-//! never strands work behind it the way the old static equal-chunk split
-//! did, and the steal path costs one uncontended RMW instead of a lock.
+//! never strands work behind it the way a static equal-chunk split would,
+//! and the steal path costs one uncontended RMW instead of a lock.
 //! This is the "sharded injector" flavour of work distribution: because the
 //! only API is a fan-out over a slice, a per-worker Chase-Lev deque would
 //! hold slices of the same job anyway — the claim counter gives the same

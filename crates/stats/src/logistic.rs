@@ -8,33 +8,10 @@
 //!
 //! Every fit runs one IRLS kernel, [`irls`], over a borrowed [`Design`]. A
 //! caller that fits several outcomes over the same features builds the
-//! design once and shares it; [`logistic_fit_weighted`] builds its own.
+//! design once and shares it.
 
 use crate::matrix::{Matrix, MatrixError};
 use crate::ols::FitError;
-
-/// A fitted logistic regression model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LogisticFit {
-    /// Intercept followed by one coefficient per predictor (input order).
-    pub coefficients: Vec<f64>,
-    /// Names matching `coefficients` (first entry is `"(intercept)"`).
-    pub names: Vec<String>,
-    /// Number of Newton iterations performed.
-    pub iterations: usize,
-    /// Whether the optimiser converged before the iteration cap.
-    pub converged: bool,
-    /// Log-likelihood at the final iterate.
-    pub log_likelihood: f64,
-}
-
-impl LogisticFit {
-    /// Predicted probability `P(y = 1 | x)` for one feature vector (without
-    /// the intercept term — it is added internally).
-    pub fn predict_proba(&self, features: &[f64]) -> f64 {
-        predict(&self.coefficients, features)
-    }
-}
 
 /// A model fitted by [`irls`]: the coefficients of the design's columns.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,21 +25,18 @@ pub struct IrlsFit {
 }
 
 impl IrlsFit {
-    /// Predicted probability `P(y = 1 | x)` for one row of the design the
-    /// model was fitted on (leading intercept entry included).
+    /// Predicted probability `P(y = 1 | x)` for one row `[1, x₁ … x_m]` of
+    /// the design the model was fitted on: `sigmoid(β₀ + Σ βⱼ xⱼ)`, summed
+    /// in feature order.
     pub fn predict_row(&self, row: &[f64]) -> f64 {
-        predict(&self.coefficients, row.get(1..).unwrap_or_default())
+        let features = row.get(1..).unwrap_or_default();
+        debug_assert_eq!(features.len() + 1, self.coefficients.len());
+        let mut z = self.coefficients[0];
+        for (b, f) in self.coefficients[1..].iter().zip(features) {
+            z += b * f;
+        }
+        sigmoid(z)
     }
-}
-
-/// `sigmoid(β₀ + Σ βⱼ₊₁ xⱼ)`, summed in feature order.
-fn predict(coefficients: &[f64], features: &[f64]) -> f64 {
-    debug_assert_eq!(features.len() + 1, coefficients.len());
-    let mut z = coefficients[0];
-    for (b, f) in coefficients[1..].iter().zip(features) {
-        z += b * f;
-    }
-    sigmoid(z)
 }
 
 /// The design matrix of a logistic regression: one row `[1, x₁ … x_m]` per
@@ -150,75 +124,16 @@ impl Default for LogisticConfig {
     }
 }
 
-/// Fits `P(y=1 | X) = sigmoid(b0 + X b)` by Newton–Raphson / IRLS.
-///
-/// `y` entries must be 0.0 or 1.0; `predictors` is a list of `(name, values)`
-/// columns of the same length as `y`.
-pub fn logistic_fit(
-    y: &[f64],
-    predictors: &[(String, Vec<f64>)],
-    config: LogisticConfig,
-) -> Result<LogisticFit, FitError> {
-    for &v in y {
-        if v != 0.0 && v != 1.0 {
-            return Err(FitError::ShapeMismatch(format!(
-                "outcome value {v} is not 0/1"
-            )));
-        }
-    }
-    logistic_fit_weighted(y, predictors, None, config)
-}
-
-/// Weighted (binomial) logistic regression: `y` entries are success
-/// *proportions* in `[0, 1]` and `row_weights` gives the number of
-/// observations (or any non-negative weight) behind each row.
-///
-/// This is the grouped form of [`logistic_fit`]: collapsing rows with
-/// identical discrete feature vectors into one weighted row reaches the same
-/// optimum while running IRLS over the number of *distinct combinations*
-/// instead of the number of rows.
-pub fn logistic_fit_weighted(
-    y: &[f64],
-    predictors: &[(String, Vec<f64>)],
-    row_weights: Option<&[f64]>,
-    config: LogisticConfig,
-) -> Result<LogisticFit, FitError> {
-    let columns: Vec<&[f64]> = predictors.iter().map(|(_, col)| col.as_slice()).collect();
-    let design = Design::from_columns(y.len(), &columns)?;
-    let fit = irls(&design, y, row_weights, config)?;
-
-    // Final log-likelihood (weighted; constant binomial coefficients of the
-    // grouped form are omitted).
-    let mut log_likelihood = 0.0;
-    for (i, (row, &yi)) in design.rows().zip(y).enumerate() {
-        let mut z = 0.0;
-        for (x, b) in row.iter().zip(&fit.coefficients) {
-            z += x * b;
-        }
-        let wi = row_weights.map_or(1.0, |w| w[i]);
-        let mu = sigmoid(z).clamp(1e-12, 1.0 - 1e-12);
-        log_likelihood += wi * (yi * mu.ln() + (1.0 - yi) * (1.0 - mu).ln());
-    }
-
-    let mut names = Vec::with_capacity(design.cols);
-    names.push("(intercept)".to_string());
-    names.extend(predictors.iter().map(|(n, _)| n.clone()));
-    Ok(LogisticFit {
-        coefficients: fit.coefficients,
-        names,
-        iterations: fit.iterations,
-        converged: fit.converged,
-        log_likelihood,
-    })
-}
-
 /// Fits `P(y = 1 | x) = sigmoid(β · x)` over the rows `x` of `design` by
 /// Newton–Raphson (IRLS): the one IRLS loop behind every logistic fit.
 ///
 /// `y` holds one success proportion in `[0, 1]` per design row, and
-/// `row_weights`, when given, the non-negative weight behind each row (see
-/// [`logistic_fit_weighted`]). The design is only read, so fits of several
-/// outcomes can share it.
+/// `row_weights`, when given, the non-negative weight behind each row: the
+/// number of observations a grouped row stands for. Collapsing rows with
+/// identical discrete feature vectors into one weighted binomial row reaches
+/// the same optimum while running over the distinct combinations instead of
+/// the rows. The design is only read, so fits of several outcomes can share
+/// it.
 pub fn irls(
     design: &Design,
     y: &[f64],
@@ -414,8 +329,41 @@ fn fold_row(row: &[f64], w: f64, resid: f64, grad: &mut [f64], upper: &mut [f64]
 mod tests {
     use super::*;
 
-    fn fit(y: &[f64], preds: &[(String, Vec<f64>)]) -> LogisticFit {
-        logistic_fit(y, preds, LogisticConfig::default()).unwrap()
+    /// Fits `y` over the given feature columns with the default config.
+    fn try_fit(
+        y: &[f64],
+        columns: &[&[f64]],
+        row_weights: Option<&[f64]>,
+    ) -> Result<IrlsFit, FitError> {
+        let design = Design::from_columns(y.len(), columns)?;
+        irls(&design, y, row_weights, LogisticConfig::default())
+    }
+
+    fn fit(y: &[f64], columns: &[&[f64]]) -> IrlsFit {
+        try_fit(y, columns, None).unwrap()
+    }
+
+    /// `P(y = 1 | x)` for one feature vector (without the intercept term).
+    fn predict(model: &IrlsFit, features: &[f64]) -> f64 {
+        let row: Vec<f64> = std::iter::once(1.0)
+            .chain(features.iter().copied())
+            .collect();
+        model.predict_row(&row)
+    }
+
+    /// Fits `y` over `columns` and returns the (weighted) log-likelihood at
+    /// the fitted coefficients; the constant binomial coefficients of the
+    /// grouped form are omitted.
+    fn log_likelihood(y: &[f64], columns: &[&[f64]], row_weights: Option<&[f64]>) -> f64 {
+        let design = Design::from_columns(y.len(), columns).unwrap();
+        let model = irls(&design, y, row_weights, LogisticConfig::default()).unwrap();
+        let mut ll = 0.0;
+        for (i, (row, &yi)) in design.rows().zip(y).enumerate() {
+            let wi = row_weights.map_or(1.0, |w| w[i]);
+            let mu = model.predict_row(row).clamp(1e-12, 1.0 - 1e-12);
+            ll += wi * (yi * mu.ln() + (1.0 - yi) * (1.0 - mu).ln());
+        }
+        ll
     }
 
     #[test]
@@ -430,18 +378,18 @@ mod tests {
         // y = 1 when x > 0.5 with a smooth boundary
         let x: Vec<f64> = (0..200).map(|i| i as f64 / 200.0).collect();
         let y: Vec<f64> = x.iter().map(|&x| if x > 0.5 { 1.0 } else { 0.0 }).collect();
-        let model = fit(&y, &[("x".to_string(), x)]);
+        let model = fit(&y, &[&x]);
         assert!(model.coefficients[1] > 0.0, "slope should be positive");
-        assert!(model.predict_proba(&[0.9]) > 0.9);
-        assert!(model.predict_proba(&[0.1]) < 0.1);
-        assert!(model.predict_proba(&[0.5]) > 0.2 && model.predict_proba(&[0.5]) < 0.8);
+        assert!(predict(&model, &[0.9]) > 0.9);
+        assert!(predict(&model, &[0.1]) < 0.1);
+        assert!(predict(&model, &[0.5]) > 0.2 && predict(&model, &[0.5]) < 0.8);
     }
 
     #[test]
     fn intercept_only_matches_base_rate() {
         let y = vec![1.0, 1.0, 1.0, 0.0];
         let model = fit(&y, &[]);
-        assert!((model.predict_proba(&[]) - 0.75).abs() < 1e-4);
+        assert!((predict(&model, &[]) - 0.75).abs() < 1e-4);
         assert!(model.converged);
     }
 
@@ -449,31 +397,23 @@ mod tests {
     fn balanced_noise_gives_half() {
         let y: Vec<f64> = (0..100).map(|i| (i % 2) as f64).collect();
         let x: Vec<f64> = (0..100).map(|i| ((i * 7) % 13) as f64).collect();
-        let model = fit(&y, &[("x".to_string(), x)]);
-        let p = model.predict_proba(&[6.0]);
+        let model = fit(&y, &[&x]);
+        let p = predict(&model, &[6.0]);
         assert!(p > 0.3 && p < 0.7);
     }
 
     #[test]
     fn rejects_bad_inputs() {
         assert!(matches!(
-            logistic_fit(&[0.0, 2.0], &[], LogisticConfig::default()),
+            try_fit(&[0.0, 2.0], &[], None),
             Err(FitError::ShapeMismatch(_))
         ));
         assert!(matches!(
-            logistic_fit(
-                &[0.0],
-                &[("x".to_string(), vec![1.0, 2.0])],
-                LogisticConfig::default()
-            ),
+            try_fit(&[0.0], &[&[1.0, 2.0]], None),
             Err(FitError::TooFewRows { .. })
         ));
         assert!(matches!(
-            logistic_fit(
-                &[0.0, 1.0, 1.0],
-                &[("x".to_string(), vec![1.0, 2.0])],
-                LogisticConfig::default()
-            ),
+            try_fit(&[0.0, 1.0, 1.0], &[&[1.0, 2.0]], None),
             Err(FitError::ShapeMismatch(_))
         ));
     }
@@ -486,10 +426,10 @@ mod tests {
             .iter()
             .map(|&x| if x >= 25.0 { 1.0 } else { 0.0 })
             .collect();
-        let model = fit(&y, &[("x".to_string(), x)]);
+        let model = fit(&y, &[&x]);
         assert!(model.coefficients.iter().all(|c| c.is_finite()));
-        assert!(model.predict_proba(&[49.0]) > 0.9);
-        assert!(model.predict_proba(&[0.0]) < 0.1);
+        assert!(predict(&model, &[49.0]) > 0.9);
+        assert!(predict(&model, &[0.0]) < 0.1);
     }
 
     #[test]
@@ -506,7 +446,7 @@ mod tests {
                 }
             })
             .collect();
-        let full = fit(&y, &[("x".to_string(), x.clone())]);
+        let full = fit(&y, &[&x]);
         let mut tallies = [(0.0f64, 0.0f64); 3];
         for (xi, yi) in x.iter().zip(&y) {
             tallies[*xi as usize].0 += 1.0;
@@ -515,49 +455,31 @@ mod tests {
         let gx: Vec<f64> = vec![0.0, 1.0, 2.0];
         let gy: Vec<f64> = tallies.iter().map(|(n, k)| k / n).collect();
         let gw: Vec<f64> = tallies.iter().map(|(n, _)| *n).collect();
-        let grouped = logistic_fit_weighted(
-            &gy,
-            &[("x".to_string(), gx)],
-            Some(&gw),
-            LogisticConfig::default(),
-        )
-        .unwrap();
+        let grouped = try_fit(&gy, &[&gx], Some(&gw)).unwrap();
         for (a, b) in full.coefficients.iter().zip(&grouped.coefficients) {
             assert!((a - b).abs() < 1e-6, "coefficients diverge: {a} vs {b}");
         }
-        assert!((full.log_likelihood - grouped.log_likelihood).abs() < 1e-6);
+        let full_ll = log_likelihood(&y, &[&x], None);
+        let grouped_ll = log_likelihood(&gy, &[&gx], Some(&gw));
+        assert!((full_ll - grouped_ll).abs() < 1e-6);
     }
 
     #[test]
     fn weighted_rejects_bad_inputs() {
         let y = [0.5, 0.25];
-        let preds = [("x".to_string(), vec![0.0, 1.0])];
-        assert!(
-            logistic_fit_weighted(&y, &preds, Some(&[1.0]), LogisticConfig::default()).is_err()
-        );
-        assert!(logistic_fit_weighted(
-            &y,
-            &preds,
-            Some(&[1.0, f64::NAN]),
-            LogisticConfig::default()
-        )
-        .is_err());
-        assert!(
-            logistic_fit_weighted(&[1.5, 0.0], &preds, None, LogisticConfig::default()).is_err()
-        );
-        // proportions are accepted by the weighted entry point
-        assert!(
-            logistic_fit_weighted(&y, &preds, Some(&[4.0, 4.0]), LogisticConfig::default()).is_ok()
-        );
+        let x: &[f64] = &[0.0, 1.0];
+        assert!(try_fit(&y, &[x], Some(&[1.0])).is_err());
+        assert!(try_fit(&y, &[x], Some(&[1.0, f64::NAN])).is_err());
+        assert!(try_fit(&[1.5, 0.0], &[x], None).is_err());
+        // proportions are accepted
+        assert!(try_fit(&y, &[x], Some(&[4.0, 4.0])).is_ok());
     }
 
     #[test]
     fn log_likelihood_improves_over_null() {
         let x: Vec<f64> = (0..100).map(|i| (i % 10) as f64).collect();
         let y: Vec<f64> = x.iter().map(|&x| if x > 4.0 { 1.0 } else { 0.0 }).collect();
-        let with_x = fit(&y, &[("x".to_string(), x)]);
-        let null = fit(&y, &[]);
-        assert!(with_x.log_likelihood > null.log_likelihood);
+        assert!(log_likelihood(&y, &[&x], None) > log_likelihood(&y, &[], None));
     }
 
     #[test]
@@ -578,11 +500,10 @@ mod tests {
         ));
         let y = [0.0, 1.0, 0.0, 1.0];
         let kernel = irls(&design, &y, None, LogisticConfig::default()).unwrap();
-        let full = fit(&y, &[("x".to_string(), x.to_vec())]);
-        assert_eq!(kernel.coefficients, full.coefficients);
+        let (b0, b1) = (kernel.coefficients[0], kernel.coefficients[1]);
         for (row, xi) in design.rows().zip(x) {
             assert_eq!(row, [1.0, xi]);
-            assert_eq!(kernel.predict_row(row), full.predict_proba(&[xi]));
+            assert_eq!(kernel.predict_row(row), sigmoid(b0 + b1 * xi));
         }
     }
 

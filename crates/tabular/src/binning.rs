@@ -8,7 +8,8 @@
 //!
 //! A NaN cell is binned as missing, like an empty cell: it takes no part in
 //! the bin edges or in the decision whether a column needs binning, and a
-//! numeric column that [`bin_frame`] leaves unbinned has it set to null.
+//! numeric column that [`bin_frame_encoded`] leaves unbinned has it set to
+//! null.
 
 use std::borrow::Cow;
 
@@ -48,36 +49,18 @@ fn f64_view(column: &Column) -> Cow<'_, [Option<f64>]> {
 }
 
 /// Bins a numeric column into `n_bins` integer-coded bins (0-based), keeping
-/// nulls (and NaN cells) as nulls. Non-numeric columns are returned
-/// unchanged (they are already discrete).
-pub fn bin_column(column: &Column, n_bins: usize, strategy: BinStrategy) -> Result<Column> {
-    Ok(bin_column_impl(column, n_bins, strategy, false)?.0)
-}
-
-/// Like [`bin_column`], additionally returning the discrete encoding of the
-/// binned column when binning actually happened.
+/// nulls (and NaN cells) as nulls, and returns it together with its discrete
+/// encoding. Non-numeric columns are returned unchanged (they are already
+/// discrete), without an encoding.
 ///
-/// The encoding is built directly from the bin indices while they are
-/// assigned (a dense first-appearance remap over at most `n_bins` slots), and
-/// is bit-identical to what `binned.encode()` would produce — but without
-/// re-rendering every cell to a string and re-hashing it. MESA's
-/// `prepare_query` threads these encodings straight into its encoded frame so
-/// the encode step never touches binned columns again.
-pub fn bin_column_encoded(
+/// The encoding is built from the bin indices while they are assigned (a
+/// dense first-appearance remap over at most `n_bins` slots), and is
+/// bit-identical to what `binned.encode()` would produce — but without
+/// re-rendering every cell to a string and re-hashing it.
+pub fn bin_column(
     column: &Column,
     n_bins: usize,
     strategy: BinStrategy,
-) -> Result<(Column, Option<EncodedColumn>)> {
-    bin_column_impl(column, n_bins, strategy, true)
-}
-
-/// Shared binning core; `want_codes` controls whether the encoding is built
-/// alongside the binned column (callers that discard it skip the cost).
-fn bin_column_impl(
-    column: &Column,
-    n_bins: usize,
-    strategy: BinStrategy,
-    want_codes: bool,
 ) -> Result<(Column, Option<EncodedColumn>)> {
     if n_bins == 0 {
         return Err(TabularError::InvalidArgument(
@@ -94,45 +77,40 @@ fn bin_column_impl(
         // Entirely missing: every row is null in the binned column too.
         None => {
             let out = Column::from_i64(column.name(), vec![None; n]);
-            let encoded = want_codes.then(|| {
-                EncodedColumn::from_parts(vec![0; n], Bitmap::new_all_unset(n), Vec::new())
-            });
-            return Ok((out, encoded));
+            let encoded =
+                EncodedColumn::from_parts(vec![0; n], Bitmap::new_all_unset(n), Vec::new());
+            return Ok((out, Some(encoded)));
         }
     };
     // Assign bins and build the first-appearance code remap in one pass,
     // writing the codes and the validity bitmap directly.
     const UNSEEN: u32 = u32::MAX;
     let mut binned: Vec<Option<i64>> = Vec::with_capacity(n);
-    let mut codes: Vec<u32> = Vec::with_capacity(if want_codes { n } else { 0 });
-    let mut validity = Bitmap::new_all_set(if want_codes { n } else { 0 });
+    let mut codes: Vec<u32> = Vec::with_capacity(n);
+    let mut validity = Bitmap::new_all_set(n);
     let mut remap: Vec<u32> = vec![UNSEEN; edges.len() + 1];
     let mut labels: Vec<String> = Vec::new();
     for (row, v) in values.iter().enumerate() {
         match v.filter(|v| !v.is_nan()) {
             None => {
                 binned.push(None);
-                if want_codes {
-                    codes.push(0);
-                    validity.clear(row);
-                }
+                codes.push(0);
+                validity.clear(row);
             }
             Some(v) => {
                 let bin = assign_bin(v, &edges);
                 binned.push(Some(bin as i64));
-                if want_codes {
-                    let slot = &mut remap[bin];
-                    if *slot == UNSEEN {
-                        *slot = labels.len() as u32;
-                        labels.push(bin.to_string());
-                    }
-                    codes.push(*slot);
+                let slot = &mut remap[bin];
+                if *slot == UNSEEN {
+                    *slot = labels.len() as u32;
+                    labels.push(bin.to_string());
                 }
+                codes.push(*slot);
             }
         }
     }
-    let encoded = want_codes.then(|| EncodedColumn::from_parts(codes, validity, labels));
-    Ok((Column::from_i64(column.name(), binned), encoded))
+    let encoded = EncodedColumn::from_parts(codes, validity, labels);
+    Ok((Column::from_i64(column.name(), binned), Some(encoded)))
 }
 
 /// Computes the interior bin edges (length `≤ n_bins - 1`, sorted ascending)
@@ -204,34 +182,45 @@ fn assign_bin(value: f64, edges: &[f64]) -> usize {
     bin
 }
 
-/// Bins every numeric column of a copy of the frame, leaving
-/// categorical/boolean columns and any column named in `exclude` untouched.
+/// Bins every numeric column of the frame it takes, in place, leaving
+/// categorical/boolean columns and any column named in `exclude` untouched,
+/// and returns a discrete encoding for every *numeric* non-excluded column.
 ///
-/// Columns with at most `n_bins` distinct values are also left untouched —
-/// binning them would only lose information.
-pub fn bin_frame(
-    df: &DataFrame,
-    n_bins: usize,
-    strategy: BinStrategy,
-    exclude: &[&str],
-) -> Result<DataFrame> {
-    Ok(bin_frame_impl(df.clone(), n_bins, strategy, exclude, false)?.0)
-}
-
-/// Like [`bin_frame`], but binning the frame it takes in place, and
-/// additionally returning a discrete encoding for every *numeric*
-/// non-excluded column: the bin codes emitted while binning, or — when the
-/// column was left untouched because its domain already fits in `n_bins` —
-/// an ordinary [`Column::encode`] pass (cheap at that cardinality). Callers
-/// building an encoded view of the result (MESA's `prepare_query`) reuse
-/// these instead of re-encoding from scratch.
+/// Columns with at most `n_bins` distinct values are left unbinned —
+/// binning them would only lose information. Their encoding is an ordinary
+/// [`Column::encode`] pass (cheap at that cardinality); a binned column's is
+/// the one [`bin_column`] emits. Callers building an encoded view of the
+/// result (MESA's `prepare_query`) reuse these instead of re-encoding from
+/// scratch. Each binned column replaces its source at once, so the frame is
+/// never copied.
 pub fn bin_frame_encoded(
-    df: DataFrame,
+    mut df: DataFrame,
     n_bins: usize,
     strategy: BinStrategy,
     exclude: &[&str],
 ) -> Result<(DataFrame, Vec<(String, EncodedColumn)>)> {
-    bin_frame_impl(df, n_bins, strategy, exclude, true)
+    let mut encodings: Vec<(String, EncodedColumn)> = Vec::new();
+    for col in df.columns_mut() {
+        if exclude.contains(&col.name()) || !col.dtype().is_numeric() {
+            continue;
+        }
+        if !distinct_exceeds(col, n_bins) {
+            // Domain already fits: the column stays unbinned, with its NaN
+            // cells nulled so that they read as missing here too, and its
+            // ordinary encoding is exactly its final encoding.
+            null_nans(col)?;
+            encodings.push((col.name().to_string(), col.encode()));
+            continue;
+        }
+        // The binned column keeps the name and the length, as
+        // `columns_mut` requires.
+        let (binned, bin_codes) = bin_column(col, n_bins, strategy)?;
+        if let Some(bin_codes) = bin_codes {
+            encodings.push((col.name().to_string(), bin_codes));
+        }
+        *col = binned;
+    }
+    Ok((df, encodings))
 }
 
 /// Whether a numeric column has more than `n_bins` distinct present values
@@ -270,44 +259,6 @@ fn distinct_exceeds(column: &Column, n_bins: usize) -> bool {
     }
 }
 
-/// Shared frame-binning core: replaces each binned column of `df` in place
-/// (the column it replaces is freed at once). When `want_codes` is false no
-/// encodings are built or collected (plain [`bin_frame`] callers skip that
-/// cost entirely).
-fn bin_frame_impl(
-    mut df: DataFrame,
-    n_bins: usize,
-    strategy: BinStrategy,
-    exclude: &[&str],
-    want_codes: bool,
-) -> Result<(DataFrame, Vec<(String, EncodedColumn)>)> {
-    let mut encodings: Vec<(String, EncodedColumn)> = Vec::new();
-    for col in df.columns_mut() {
-        if exclude.contains(&col.name()) || !col.dtype().is_numeric() {
-            continue;
-        }
-        if !distinct_exceeds(col, n_bins) {
-            // Domain already fits: the column stays unbinned, with its NaN
-            // cells nulled so that they read as missing here too, and (when
-            // requested) its ordinary encoding — cheap at this cardinality —
-            // is exactly its final encoding.
-            null_nans(col)?;
-            if want_codes {
-                encodings.push((col.name().to_string(), col.encode()));
-            }
-            continue;
-        }
-        // The binned column keeps the name and the length, as
-        // `columns_mut` requires.
-        let (binned, bin_codes) = bin_column_impl(col, n_bins, strategy, want_codes)?;
-        if let Some(bin_codes) = bin_codes {
-            encodings.push((col.name().to_string(), bin_codes));
-        }
-        *col = binned;
-    }
-    Ok((df, encodings))
-}
-
 /// Sets the NaN cells of a float column to null.
 fn null_nans(column: &mut Column) -> Result<()> {
     let rows: Vec<usize> = match column.data() {
@@ -341,7 +292,7 @@ mod tests {
             "x",
             vec![Some(0.0), Some(2.5), Some(5.0), Some(7.5), Some(10.0), None],
         );
-        let b = bin_column(&c, 4, BinStrategy::EqualWidth).unwrap();
+        let (b, _) = bin_column(&c, 4, BinStrategy::EqualWidth).unwrap();
         assert_eq!(b.dtype(), DType::Int);
         assert_eq!(b.get(0).unwrap(), Value::Int(0));
         assert_eq!(b.get(2).unwrap(), Value::Int(1)); // 5.0 lands in bin 1 (edge-exclusive on >)
@@ -353,7 +304,7 @@ mod tests {
     fn equal_frequency_binning_balances_counts() {
         let vals: Vec<Option<f64>> = (0..100).map(|i| Some(i as f64)).collect();
         let c = Column::from_f64("x", vals);
-        let b = bin_column(&c, 4, BinStrategy::EqualFrequency).unwrap();
+        let (b, _) = bin_column(&c, 4, BinStrategy::EqualFrequency).unwrap();
         let enc = b.encode();
         assert_eq!(enc.cardinality(), 4);
         // each bin should hold about 25 values
@@ -369,21 +320,21 @@ mod tests {
     #[test]
     fn constant_column_single_bin() {
         let c = Column::from_f64("x", vec![Some(3.0); 5]);
-        let b = bin_column(&c, 4, BinStrategy::EqualWidth).unwrap();
+        let (b, _) = bin_column(&c, 4, BinStrategy::EqualWidth).unwrap();
         assert_eq!(b.n_distinct(), 1);
     }
 
     #[test]
     fn all_null_column() {
         let c = Column::from_f64("x", vec![None, None]);
-        let b = bin_column(&c, 4, BinStrategy::EqualWidth).unwrap();
+        let (b, _) = bin_column(&c, 4, BinStrategy::EqualWidth).unwrap();
         assert_eq!(b.null_count(), 2);
     }
 
     #[test]
     fn categorical_passthrough_and_zero_bins() {
         let c = Column::from_str_values("c", vec![Some("a"), Some("b")]);
-        let b = bin_column(&c, 4, BinStrategy::EqualWidth).unwrap();
+        let (b, _) = bin_column(&c, 4, BinStrategy::EqualWidth).unwrap();
         assert_eq!(b, c);
         assert!(bin_column(&c, 0, BinStrategy::EqualWidth).is_err());
     }
@@ -397,7 +348,7 @@ mod tests {
             .cat("cat", (0..50).map(|_| Some("x")).collect())
             .build()
             .unwrap();
-        let out = bin_frame(&df, 5, BinStrategy::EqualFrequency, &["keep"]).unwrap();
+        let (out, _) = bin_frame_encoded(df, 5, BinStrategy::EqualFrequency, &["keep"]).unwrap();
         assert_eq!(out.column("big").unwrap().n_distinct(), 5);
         assert_eq!(out.column("small").unwrap().n_distinct(), 3); // untouched (<= n_bins)
         assert_eq!(out.column("keep").unwrap().n_distinct(), 50); // excluded
@@ -430,16 +381,16 @@ mod tests {
             .collect();
         let c = Column::from_f64("x", vals);
         for strategy in [BinStrategy::EqualWidth, BinStrategy::EqualFrequency] {
-            let (binned, codes) = bin_column_encoded(&c, 5, strategy).unwrap();
+            let (binned, codes) = bin_column(&c, 5, strategy).unwrap();
             assert_eq!(codes.unwrap(), binned.encode());
         }
         // all-null numeric column
         let empty = Column::from_f64("x", vec![None, None, None]);
-        let (binned, codes) = bin_column_encoded(&empty, 4, BinStrategy::EqualWidth).unwrap();
+        let (binned, codes) = bin_column(&empty, 4, BinStrategy::EqualWidth).unwrap();
         assert_eq!(codes.unwrap(), binned.encode());
         // categorical passthrough emits no encoding
         let cat = Column::from_str_values("c", vec![Some("a")]);
-        let (_, codes) = bin_column_encoded(&cat, 4, BinStrategy::EqualWidth).unwrap();
+        let (_, codes) = bin_column(&cat, 4, BinStrategy::EqualWidth).unwrap();
         assert!(codes.is_none());
     }
 
@@ -467,7 +418,7 @@ mod tests {
         let vals: Vec<Option<f64>> = vec![Some(1.0), Some(5.0), Some(2.0), Some(9.0), Some(7.0)];
         let c = Column::from_f64("x", vals.clone());
         for strategy in [BinStrategy::EqualWidth, BinStrategy::EqualFrequency] {
-            let b = bin_column(&c, 3, strategy).unwrap();
+            let (b, _) = bin_column(&c, 3, strategy).unwrap();
             let bins: Vec<i64> = (0..b.len())
                 .map(|i| b.get(i).unwrap().as_i64().unwrap())
                 .collect();
@@ -513,9 +464,7 @@ mod tests {
             .build()
             .unwrap();
         for strategy in [BinStrategy::EqualWidth, BinStrategy::EqualFrequency] {
-            let reference = bin_frame(&df, 5, strategy, &["skip"]).unwrap();
             let (out, encodings) = bin_frame_encoded(df.clone(), 5, strategy, &["skip"]).unwrap();
-            assert_eq!(out, reference, "{strategy:?}");
             // Column order is kept; "empty" (an all-null float column) has
             // no domain to exceed, so it stays unbinned but encoded, and the
             // bool and categorical columns are not numeric.
@@ -523,11 +472,14 @@ mod tests {
             assert_eq!(names, vec!["f", "i", "small", "skip", "empty", "b", "c"]);
             let want: Vec<(String, EncodedColumn)> = ["f", "i", "small", "empty"]
                 .iter()
-                .map(|&c| (c.to_string(), reference.column(c).unwrap().encode()))
+                .map(|&c| (c.to_string(), out.column(c).unwrap().encode()))
                 .collect();
             assert_eq!(encodings, want, "{strategy:?}");
             assert_eq!(out.column("f").unwrap().dtype(), DType::Int);
-            assert_eq!(out.column("skip").unwrap(), df.column("skip").unwrap());
+            for untouched in ["small", "skip", "empty", "b", "c"] {
+                let (got, input) = (out.column(untouched), df.column(untouched));
+                assert_eq!(got.unwrap(), input.unwrap(), "{untouched} {strategy:?}");
+            }
         }
     }
 
@@ -606,8 +558,8 @@ mod tests {
             let nan_col = Column::from_f64("x", with_nan);
             let null_col = Column::from_f64("x", with_null);
             for strategy in [BinStrategy::EqualWidth, BinStrategy::EqualFrequency] {
-                let got = bin_column_encoded(&nan_col, 4, strategy).unwrap();
-                let want = bin_column_encoded(&null_col, 4, strategy).unwrap();
+                let got = bin_column(&nan_col, 4, strategy).unwrap();
+                let want = bin_column(&null_col, 4, strategy).unwrap();
                 assert_eq!(got, want, "trial {trial} {strategy:?}");
                 let got = bin_frame_encoded(
                     DataFrame::from_columns(vec![nan_col.clone(), nan_small.clone()]).unwrap(),
@@ -630,7 +582,7 @@ mod tests {
         }
         // A column of NaNs only is entirely missing.
         let all_nan = Column::from_f64("x", vec![Some(f64::NAN); 5]);
-        let b = bin_column(&all_nan, 4, BinStrategy::EqualFrequency).unwrap();
+        let (b, _) = bin_column(&all_nan, 4, BinStrategy::EqualFrequency).unwrap();
         assert_eq!(b.null_count(), 5);
         assert_eq!(quantile(&all_nan, 0.5), None);
     }

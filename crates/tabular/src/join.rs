@@ -124,9 +124,10 @@ pub fn join(
 /// The rendered-string reference join: hashes `Value::render()` of every key
 /// cell and gathers right columns cell by cell through boxed [`Value`]s.
 ///
-/// Kept as the behavioural reference for [`join`] (the equivalence property
-/// tests and the `appendix_prepare` before/after benchmark run both
-/// implementations over the same inputs).
+/// The behavioural reference (oracle) for [`join`]: no production path
+/// calls it. `tests/join_equivalence.rs` and the fuzzer's join-equivalence
+/// family run both implementations over the same inputs; it stays public
+/// because the fuzzer is a crate of its own.
 pub fn join_rendered(
     left: &DataFrame,
     right: &DataFrame,

@@ -13,7 +13,7 @@
 //! * [`DataFrame`] / [`Column`] — the table and column types.
 //! * [`AggregateQuery`] — `SELECT T, agg(O) FROM D WHERE C GROUP BY T`.
 //! * [`Predicate`] — the `WHERE` clause / context `C` and its refinements.
-//! * [`bin_frame`] — discretisation for numeric attributes.
+//! * [`bin_frame_encoded`] — discretisation for numeric attributes.
 //! * [`read_csv`] / [`write_csv`] — persistence.
 //!
 //! ```
@@ -47,9 +47,7 @@ pub mod storage;
 pub mod value;
 
 pub use aggregate::AggFn;
-pub use binning::{
-    bin_column, bin_column_encoded, bin_frame, bin_frame_encoded, quantile, BinStrategy,
-};
+pub use binning::{bin_column, bin_frame_encoded, quantile, BinStrategy};
 pub use bitmap::Bitmap;
 pub use column::{Column, ColumnData, EncodedColumn};
 pub use csv::{read_csv, read_csv_str, write_csv, write_csv_str};

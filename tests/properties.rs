@@ -101,7 +101,7 @@ proptest! {
     #[test]
     fn binning_is_monotone(values in prop::collection::vec(-1e6f64..1e6, 5..80), bins in 2usize..10) {
         let col = Column::from_f64("x", values.iter().map(|&v| Some(v)).collect());
-        let binned = bin_column(&col, bins, BinStrategy::EqualWidth).unwrap();
+        let binned = bin_column(&col, bins, BinStrategy::EqualWidth).unwrap().0;
         prop_assert!(binned.n_distinct() <= bins);
         for i in 0..values.len() {
             for j in 0..values.len() {
