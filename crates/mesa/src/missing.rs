@@ -18,8 +18,16 @@
 //!    attributes of the input dataset and weight each complete case by
 //!    `P(R_E = 1) / P(R_E = 1 | x_i)` — the IPW estimator the paper adopts.
 //!
-//! The model's features `X` do not depend on `E`: a fitted candidate has
-//! missing values, so it is never one of its own fully observed features.
+//! The features `X` are chosen by a canonical rule: the outcome first, then
+//! the rest by name, each with 2–8 levels and one-hot encoded in label
+//! order, while their cross product stays within 256 cells. The model is
+//! fitted over the occupied cells with binomial weights, so a fit costs one
+//! pass over the rows plus IRLS over at most 256 design rows, and the
+//! weights do not depend on the order of the rows or columns or on how
+//! their codes were assigned.
+//!
+//! The features do not depend on `E`: a fitted candidate has missing
+//! values, so it is never one of its own fully observed features.
 //! [`analyze_candidates`] therefore selects the features and builds the
 //! model's design once, on the first fit it needs, and every candidate's
 //! fit reads that one design.
@@ -74,148 +82,147 @@ pub fn selection_indicator<'a>(column: impl Into<ColumnView<'a>>) -> EncodedColu
     EncodedColumn::from_codes(codes, vec!["missing".into(), "observed".into()])
 }
 
-/// Most features the selection-probability model takes: it only supplies
-/// weights, so it stays small.
-const MAX_FEATURES: usize = 6;
+/// Most levels a feature of the selection-probability model may have.
+const MAX_LEVELS: usize = 8;
+
+/// Most cells — feature combinations — the selection-probability model may
+/// span. A cell index therefore fits in a byte.
+const MAX_CELLS: usize = 256;
 
 /// The design of the selection-probability model, shared by every fit of
-/// one [`analyze_candidates`] call.
+/// one [`analyze_candidates`] call: one row `[1, one-hot…]` per occupied
+/// cell, in cell order.
 struct SelectionDesign {
-    /// `[1, x₁ … x_m]` per frame row, or per distinct feature combination
-    /// when `groups` is set.
     design: Design,
-    groups: Option<Groups>,
+    groups: Groups,
 }
 
-/// The grouped form of the fit. The features are discrete codes, so rows
-/// with the same feature combination are interchangeable: IRLS runs over
-/// the distinct combinations with binomial weights — same optimum, far
-/// fewer rows. It applies when the features' cross product fits the entropy
-/// kernel's dense-table bound; features with 100+ levels exceed it.
+/// The features are discrete, so rows in the same cell are
+/// interchangeable: IRLS runs over the occupied cells with binomial
+/// weights — the row-level fit's optimum, over at most [`MAX_CELLS`] rows.
 struct Groups {
-    /// Design row (combination) of every frame row.
-    of_row: Vec<usize>,
-    /// Frame rows per combination, the binomial weights.
+    /// Design row (occupied cell) of every frame row.
+    of_row: Vec<u8>,
+    /// Frame rows per design row, the binomial weights.
     rows: Vec<f64>,
 }
 
 impl SelectionDesign {
-    /// Selects the model's features — the first [`MAX_FEATURES`] of
-    /// `feature_columns` that are fully observed and not constant, whose
-    /// discrete codes are used as numeric features (what "the values of the
-    /// attributes in D" amounts to after binning) — and builds the design.
-    /// `None` when the design has fewer rows than coefficients.
+    /// Selects the model's features and builds the design. The pool is
+    /// taken in name order, with the outcome first when it is in the pool:
+    /// a fit runs only once `R ⫫ O` or `R ⫫ T` was rejected, and a model
+    /// without `O` cannot re-weight a dependence on it. A column is taken
+    /// when it has no nulls and 2 to [`MAX_LEVELS`] levels, the cross
+    /// product stays within [`MAX_CELLS`], and at least as many cells are
+    /// occupied as the design has columns; otherwise the next one is tried.
+    ///
+    /// Each feature is one-hot encoded with its levels ranked by label (bin
+    /// labels are bin indices, so binned numerics rank in value order), and
+    /// cells are numbered by mixed radix over the ranks, the first feature
+    /// varying fastest. Any permutation of the frame's rows or columns, and
+    /// any relabelling of its codes, therefore gives the same design.
+    /// `None` when the frame has no rows.
     fn build(
         encoded: &EncodedFrame,
         feature_columns: &[String],
+        outcome: &str,
     ) -> Result<Option<SelectionDesign>> {
-        let mut features: Vec<ColumnView<'_>> = Vec::new();
-        for f in feature_columns {
-            let fc = encoded.column(f)?;
-            if fc.null_count() == 0 && fc.cardinality() > 1 {
-                features.push(fc);
-                if features.len() >= MAX_FEATURES {
-                    break;
+        let mut pool: Vec<&str> = feature_columns.iter().map(String::as_str).collect();
+        pool.sort_unstable();
+        if let Some(at) = pool.iter().position(|&f| f == outcome) {
+            pool[..=at].rotate_right(1);
+        }
+        let mut cell_of_row = vec![0u8; encoded.n_rows()];
+        let mut levels: Vec<usize> = Vec::new();
+        let (mut cells, mut params) = (1, 1);
+        for name in pool {
+            let col = encoded.column(name)?;
+            let k = col.cardinality();
+            if col.null_count() > 0 || !(2..=MAX_LEVELS).contains(&k) || cells * k > MAX_CELLS {
+                continue;
+            }
+            let labels = col.labels();
+            let mut by_label: Vec<usize> = (0..k).collect();
+            by_label.sort_unstable_by_key(|&code| &labels[code]);
+            let mut rank = [0u8; MAX_LEVELS];
+            for (r, &code) in by_label.iter().enumerate() {
+                rank[code] = r as u8;
+            }
+            let mut next = cell_of_row.clone();
+            let mut occupied = [false; MAX_CELLS];
+            for run in col.runs() {
+                // Below `cells · k ≤ MAX_CELLS`, so the sum fits in a byte.
+                let offset = rank[run.value as usize] * cells as u8;
+                for cell in &mut next[run.start..run.end] {
+                    *cell += offset;
+                    occupied[usize::from(*cell)] = true;
                 }
             }
-        }
-        let n = encoded.n_rows();
-        // Decoded once: a sealed column's `codes()` allocates.
-        let codes: Vec<_> = features.iter().map(|c| c.codes()).collect();
-        let dense_cap = infotheory::adaptive_dense_cells(n);
-        let cells = features.iter().try_fold(1usize, |acc, c| {
-            let next = acc.checked_mul(c.cardinality())?;
-            (next <= dense_cap).then_some(next)
-        });
-        let Some(cells) = cells else {
-            let columns: Vec<&[u32]> = codes.iter().map(|c| c.as_ref()).collect();
-            let design = Design::from_columns(n, &columns).ok();
-            return Ok(design.map(|design| SelectionDesign {
-                design,
-                groups: None,
-            }));
-        };
-        // Mixed-radix code packing (the entropy kernel's trick) numbers the
-        // combinations; design rows follow that numbering.
-        let mut cell_of_row = vec![0usize; n];
-        let mut mult = 1usize;
-        for (c, codes) in features.iter().zip(&codes) {
-            for (cell, &code) in cell_of_row.iter_mut().zip(codes.iter()) {
-                *cell += code as usize * mult;
+            if occupied.iter().filter(|&&o| o).count() < params + k - 1 {
+                continue;
             }
-            mult *= c.cardinality();
+            cell_of_row = next;
+            levels.push(k);
+            cells *= k;
+            params += k - 1;
         }
-        let mut rows_in_cell = vec![0.0f64; cells];
+        let mut rows_in_cell = [0.0f64; MAX_CELLS];
         for &cell in &cell_of_row {
-            rows_in_cell[cell] += 1.0;
+            rows_in_cell[usize::from(cell)] += 1.0;
         }
-        let mut group_of_cell = vec![0usize; cells];
+        let mut design_row = [0u8; MAX_CELLS];
         let mut rows = Vec::new();
-        let mut columns: Vec<Vec<f64>> = vec![Vec::new(); features.len()];
+        let mut columns: Vec<Vec<f64>> = vec![Vec::new(); params - 1];
         for (cell, &count) in rows_in_cell.iter().enumerate() {
             if count == 0.0 {
                 continue;
             }
-            group_of_cell[cell] = rows.len();
+            design_row[cell] = rows.len() as u8;
             rows.push(count);
-            let mut rest = cell;
-            for (c, values) in features.iter().zip(columns.iter_mut()) {
-                values.push((rest % c.cardinality()) as f64);
-                rest /= c.cardinality();
+            let (mut rest, mut dummies) = (cell, columns.iter_mut());
+            for &k in &levels {
+                for (level, dummy) in (1..k).zip(dummies.by_ref()) {
+                    dummy.push(f64::from(u8::from(rest % k == level)));
+                }
+                rest /= k;
             }
         }
         let of_row = cell_of_row
             .iter()
-            .map(|&cell| group_of_cell[cell])
+            .map(|&cell| design_row[usize::from(cell)])
             .collect();
         let columns: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
         let design = Design::from_columns(rows.len(), &columns).ok();
         Ok(design.map(|design| SelectionDesign {
             design,
-            groups: Some(Groups { of_row, rows }),
+            groups: Groups { of_row, rows },
         }))
     }
 
     /// IPW weights `P(R = 1) / P(R = 1 | x_i)` of the observed rows (1.0
-    /// elsewhere) for the selection indicator `r` (1.0 = observed), or
-    /// `None` when the fit fails.
-    fn weights(&self, r: &[f64]) -> Option<Vec<f64>> {
-        let marginal = r.iter().sum::<f64>() / r.len() as f64;
+    /// elsewhere) for the selection indicator's codes `r` (1 = observed),
+    /// or `None` when the fit fails.
+    fn weights(&self, r: &[u32]) -> Option<Vec<f64>> {
+        let Groups { of_row, rows } = &self.groups;
+        let mut observed = vec![0.0f64; rows.len()];
+        for (&g, &ri) in of_row.iter().zip(r) {
+            observed[usize::from(g)] += f64::from(ri);
+        }
+        let marginal = observed.iter().sum::<f64>() / r.len() as f64;
+        let share: Vec<f64> = observed.iter().zip(rows).map(|(o, n)| o / n).collect();
+        let model = irls(&self.design, &share, Some(rows), LogisticConfig::default()).ok()?;
+        let weight: Vec<f64> = self
+            .design
+            .rows()
+            .map(|x| marginal / model.predict_row(x).clamp(0.05, 1.0))
+            .collect();
         // Weights only matter for complete cases; incomplete rows are
         // dropped by the estimators regardless of their weight.
-        let weight = |p: f64| marginal / p.clamp(0.05, 1.0);
-        let config = LogisticConfig::default();
-        let Some(groups) = &self.groups else {
-            let model = irls(&self.design, r, None, config).ok()?;
-            let rows = self.design.rows().zip(r);
-            return Some(
-                rows.map(|(x, &ri)| {
-                    if ri > 0.5 {
-                        weight(model.predict_row(x))
-                    } else {
-                        1.0
-                    }
-                })
-                .collect(),
-            );
-        };
-        let mut observed = vec![0.0f64; groups.rows.len()];
-        for (&g, &ri) in groups.of_row.iter().zip(r) {
-            observed[g] += ri;
-        }
-        let share: Vec<f64> = observed
-            .iter()
-            .zip(&groups.rows)
-            .map(|(o, n)| o / n)
-            .collect();
-        let model = irls(&self.design, &share, Some(&groups.rows), config).ok()?;
-        let p: Vec<f64> = self.design.rows().map(|x| model.predict_row(x)).collect();
         Some(
-            groups
-                .of_row
+            of_row
                 .iter()
                 .zip(r)
-                .map(|(&g, &ri)| if ri > 0.5 { weight(p[g]) } else { 1.0 })
+                .map(|(&g, &ri)| if ri == 1 { weight[usize::from(g)] } else { 1.0 })
                 .collect(),
         )
     }
@@ -226,22 +233,24 @@ impl SelectionDesign {
 struct LazyDesign<'a> {
     encoded: &'a EncodedFrame,
     feature_columns: &'a [String],
+    outcome: &'a str,
     cell: OnceLock<Result<Option<SelectionDesign>>>,
 }
 
 impl<'a> LazyDesign<'a> {
-    fn new(encoded: &'a EncodedFrame, feature_columns: &'a [String]) -> Self {
+    fn new(encoded: &'a EncodedFrame, feature_columns: &'a [String], outcome: &'a str) -> Self {
         LazyDesign {
             encoded,
             feature_columns,
+            outcome,
             cell: OnceLock::new(),
         }
     }
 
     fn get(&self) -> Result<Option<&SelectionDesign>> {
-        let built = self
-            .cell
-            .get_or_init(|| SelectionDesign::build(self.encoded, self.feature_columns));
+        let built = self.cell.get_or_init(|| {
+            SelectionDesign::build(self.encoded, self.feature_columns, self.outcome)
+        });
         match built {
             Ok(design) => Ok(design.as_ref()),
             Err(e) => Err(e.clone()),
@@ -252,10 +261,10 @@ impl<'a> LazyDesign<'a> {
 /// Analyses one candidate attribute for selection bias and, when detected,
 /// estimates IPW weights.
 ///
-/// * `feature_columns` — fully observed attributes of the input dataset used
-///   as predictors of the selection probability (their discrete codes are
-///   used as numeric features, which is what "the values of the attributes in
-///   D" amounts to after binning).
+/// * `feature_columns` — the pool of fully observed attributes of the input
+///   dataset from which the selection-probability model takes its features:
+///   the outcome first, then the rest by name, each with 2–8 levels, one-hot
+///   encoded in label order, while the cross product stays within 256 cells.
 pub fn analyze_attribute(
     encoded: &EncodedFrame,
     attribute: &str,
@@ -264,7 +273,7 @@ pub fn analyze_attribute(
     feature_columns: &[String],
     ci: CiTestConfig,
 ) -> Result<SelectionBiasInfo> {
-    let design = LazyDesign::new(encoded, feature_columns);
+    let design = LazyDesign::new(encoded, feature_columns, outcome);
     analyze_with(encoded, attribute, outcome, exposure, &design, ci)
 }
 
@@ -306,8 +315,7 @@ fn analyze_with(
 
     // Fit P(R_E = 1 | X) on fully observed features. The indicator is fully
     // observed, so its raw codes are all meaningful.
-    let r: Vec<f64> = r.codes().iter().map(|&c| f64::from(c)).collect();
-    let weights = design.get()?.and_then(|design| design.weights(&r));
+    let weights = design.get()?.and_then(|design| design.weights(r.codes()));
     Ok(SelectionBiasInfo {
         attribute: attribute.to_string(),
         missing_fraction,
@@ -334,8 +342,8 @@ pub fn analyze_candidates(
     // Each attribute's analysis is independent read-only work over the
     // encoded frame and the shared design — fan it out over the persistent
     // pool (adaptive grain: attributes with expensive IPW fits don't strand
-    // the cheap ones). Each fit's sums stay on one thread, in row order.
-    let design = LazyDesign::new(encoded, feature_columns);
+    // the cheap ones). Each fit's sums stay on one thread, in cell order.
+    let design = LazyDesign::new(encoded, feature_columns, outcome);
     let analyses = crate::parallel::parallel_map(candidates, |_, c| {
         analyze_with(encoded, c, outcome, exposure, &design, ci)
     });
@@ -433,20 +441,21 @@ mod tests {
             .unwrap()
     }
 
-    /// Two biased attributes over four fully observed features, two of them
-    /// wide integers: the features' cross product (4·2·97·53 cells) exceeds
-    /// the dense-table bound for 480 rows, so the selection model is fitted
-    /// row by row.
+    /// Two biased attributes over five fully observed features. The model
+    /// must skip three of them: Country, which determines Salary and so
+    /// adds fewer occupied cells than coefficients, and two wide integers.
     fn wide_biased_frame() -> tabular::DataFrame {
         let n = 480;
         let mut country = Vec::new();
         let mut salary = Vec::new();
+        let mut shift = Vec::new();
         let mut hdi = Vec::new();
         let mut gini = Vec::new();
         for i in 0..n {
             let high = i % 4 < 2;
             country.push(Some(["DE", "IT", "NG", "KE"][i % 4]));
             salary.push(Some(if high { "high" } else { "low" }));
+            shift.push(Some(["night", "early", "late"][i % 7 % 3]));
             hdi.push((!high || i % 3 == 0).then_some(if high { "big" } else { "small" }));
             gini.push((i % 4 != 3 || i % 5 == 0).then_some(if i % 7 < 3 { "a" } else { "b" }));
         }
@@ -455,81 +464,107 @@ mod tests {
             .cat("Salary", salary)
             .int("Id97", (0..n).map(|i| Some((i % 97) as i64)).collect())
             .int("Id53", (0..n).map(|i| Some((i * 7 % 53) as i64)).collect())
+            .cat("Shift", shift)
             .cat("HDI", hdi)
             .cat("Gini", gini)
             .build()
             .unwrap()
     }
 
+    fn ipw(
+        encoded: &EncodedFrame,
+        candidates: &[String],
+        features: &[String],
+    ) -> HashMap<String, SelectionBiasInfo> {
+        let ci = CiTestConfig::default();
+        let policy = MissingPolicy::Ipw;
+        analyze_candidates(
+            encoded, candidates, "Salary", "Country", features, policy, ci,
+        )
+        .unwrap()
+    }
+
+    fn bits(w: &[f64]) -> Vec<u64> {
+        w.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
-    fn row_level_fits_share_one_design_and_match_the_textbook_fit() {
+    fn cell_fits_match_the_row_level_fit() {
         let df = wide_biased_frame();
         let encoded = EncodedFrame::from_frame(&df);
         let features = fully_observed_columns(&df);
         let n = df.n_rows();
-        let cells: usize = features
-            .iter()
-            .map(|f| encoded.cardinality(f).unwrap())
-            .product();
-        assert!(
-            cells > infotheory::adaptive_dense_cells(n),
-            "the fixture must take the row-level path"
-        );
-        let ci = CiTestConfig::default();
         let candidates = vec!["HDI".to_string(), "Gini".to_string()];
-        let shared = analyze_candidates(
-            &encoded,
-            &candidates,
-            "Salary",
-            "Country",
-            &features,
-            MissingPolicy::Ipw,
-            ci,
-        )
-        .unwrap();
-        let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let shared = ipw(&encoded, &candidates, &features);
+        // The reference: one design row per frame row, over the one-hot
+        // columns of the features the rule keeps (Salary, then Shift), each
+        // level against the first by label.
+        let one_hot = |name: &str, level: &str| -> Vec<f64> {
+            let column = df.column(name).unwrap();
+            let value = tabular::Value::Str(level.into());
+            column
+                .iter_values()
+                .map(|v| f64::from(u8::from(v == value)))
+                .collect()
+        };
+        let dummies = [
+            one_hot("Salary", "low"),
+            one_hot("Shift", "late"),
+            one_hot("Shift", "night"),
+        ];
+        let columns: Vec<&[f64]> = dummies.iter().map(Vec::as_slice).collect();
+        let design = Design::from_columns(n, &columns).unwrap();
         for name in &candidates {
             let weights = shared[name].weights.as_deref().expect("weighted");
+            let ci = CiTestConfig::default();
             let alone = analyze_attribute(&encoded, name, "Salary", "Country", &features, ci)
                 .unwrap()
                 .weights
                 .expect("weighted");
             assert_eq!(bits(weights), bits(&alone), "{name}");
 
-            // The fit as written before the design was shared: a design over
-            // its own `f64` predictor columns, and a fresh `[1, x…]` row per
-            // prediction.
             let r: Vec<f64> = selection_indicator(encoded.column(name).unwrap())
                 .codes()
                 .iter()
                 .map(|&c| f64::from(c))
                 .collect();
-            let predictors: Vec<Vec<f64>> = features
-                .iter()
-                .map(|f| {
-                    let codes = encoded.column(f).unwrap().codes();
-                    codes.iter().map(|&c| f64::from(c)).collect()
-                })
-                .collect();
-            let columns: Vec<&[f64]> = predictors.iter().map(Vec::as_slice).collect();
-            let design = Design::from_columns(n, &columns).unwrap();
             let model = irls(&design, &r, None, LogisticConfig::default()).unwrap();
             let marginal = r.iter().sum::<f64>() / n as f64;
-            let textbook: Vec<f64> = (0..n)
-                .map(|i| {
-                    let x: Vec<f64> = std::iter::once(1.0)
-                        .chain(predictors.iter().map(|v| v[i]))
-                        .collect();
-                    let p = model.predict_row(&x).clamp(0.05, 1.0);
-                    if r[i] > 0.5 {
-                        marginal / p
-                    } else {
-                        1.0
-                    }
-                })
-                .collect();
-            assert_eq!(bits(weights), bits(&textbook), "{name}");
+            for (i, (x, &ri)) in design.rows().zip(&r).enumerate() {
+                let want = if ri > 0.5 {
+                    marginal / model.predict_row(x).clamp(0.05, 1.0)
+                } else {
+                    1.0
+                };
+                assert!((weights[i] - want).abs() < 1e-9, "{name} row {i}");
+            }
             assert!(weights.iter().any(|&w| w > 1.01), "{name}");
+        }
+    }
+
+    #[test]
+    fn weights_follow_the_rows_and_ignore_column_order() {
+        let df = wide_biased_frame();
+        let features = fully_observed_columns(&df);
+        let candidates = vec!["HDI".to_string(), "Gini".to_string()];
+        let base = ipw(&EncodedFrame::from_frame(&df), &candidates, &features);
+        let n = df.n_rows();
+        // A fixed shuffle: 7 is coprime to 480.
+        let perm: Vec<usize> = (0..n).map(|i| (i * 7 + 3) % n).collect();
+        let shuffled = ipw(
+            &EncodedFrame::from_frame(&df.take(&perm)),
+            &candidates,
+            &features,
+        );
+        let reversed: Vec<String> = features.iter().rev().cloned().collect();
+        let reordered = ipw(&EncodedFrame::from_frame(&df), &candidates, &reversed);
+        for name in &candidates {
+            let weights = base[name].weights.as_deref().expect("weighted");
+            let permuted: Vec<f64> = perm.iter().map(|&i| weights[i]).collect();
+            let got = shuffled[name].weights.as_deref().expect("weighted");
+            assert_eq!(bits(got), bits(&permuted), "{name}");
+            let got = reordered[name].weights.as_deref().expect("weighted");
+            assert_eq!(bits(got), bits(weights), "{name}");
         }
     }
 

@@ -48,17 +48,13 @@ pub struct Design {
 }
 
 impl Design {
-    /// Builds the design of `n_rows` observations from `m` feature columns
-    /// (each of any type that converts to `f64` exactly).
+    /// Builds the design of `n_rows` observations from `m` feature columns.
     ///
     /// Fails with [`FitError::TooFewRows`] when `n_rows < m + 1`, since the
     /// coefficients are then not identified, and with
     /// [`FitError::ShapeMismatch`] when a column does not hold `n_rows`
     /// values.
-    pub fn from_columns<T: Copy + Into<f64>>(
-        n_rows: usize,
-        columns: &[&[T]],
-    ) -> Result<Design, FitError> {
+    pub fn from_columns(n_rows: usize, columns: &[&[f64]]) -> Result<Design, FitError> {
         let cols = columns.len() + 1;
         if n_rows < cols {
             return Err(FitError::TooFewRows {
@@ -77,7 +73,7 @@ impl Design {
         let mut data = vec![1.0; n_rows * cols];
         for (i, row) in data.chunks_exact_mut(cols).enumerate() {
             for (x, col) in row[1..].iter_mut().zip(columns) {
-                *x = col[i].into();
+                *x = col[i];
             }
         }
         Ok(Design { data, cols })
@@ -225,16 +221,11 @@ pub fn irls(
     })
 }
 
-/// Rows per block of [`accumulate_fixed`].
-const BLOCK: usize = 64;
-
 /// Overwrites `grad` and `upper` (the Hessian's upper triangle, packed row
 /// by row) with the log-likelihood's gradient and negated Hessian at `beta`.
-///
-/// Every sum runs over the rows in order, with the same operations at any
-/// width, so the result's bits do not depend on the path: designs of up to
-/// seven columns take [`accumulate_fixed`], wider ones fold row by row into
-/// the heap buffers.
+/// Per row, with `z = 0 + x₀β₀ + x₁β₁ + …` and `μ = sigmoid(z)`, it adds
+/// `xⱼ·((yᵢ − μ)·wᵢ)` to the gradient and `(xⱼ·xₖ)·(max(μ(1−μ), 1e−10)·wᵢ)`
+/// to the triangle: the textbook loop's operations, in its order.
 fn accumulate(
     design: &Design,
     y: &[f64],
@@ -243,84 +234,24 @@ fn accumulate(
     grad: &mut [f64],
     upper: &mut [f64],
 ) {
-    let data = &design.data;
-    match design.cols {
-        1 => accumulate_fixed::<1, 1>(data, y, row_weights, beta, grad, upper),
-        2 => accumulate_fixed::<2, 3>(data, y, row_weights, beta, grad, upper),
-        3 => accumulate_fixed::<3, 6>(data, y, row_weights, beta, grad, upper),
-        4 => accumulate_fixed::<4, 10>(data, y, row_weights, beta, grad, upper),
-        5 => accumulate_fixed::<5, 15>(data, y, row_weights, beta, grad, upper),
-        6 => accumulate_fixed::<6, 21>(data, y, row_weights, beta, grad, upper),
-        7 => accumulate_fixed::<7, 28>(data, y, row_weights, beta, grad, upper),
-        p => {
-            grad.fill(0.0);
-            upper.fill(0.0);
-            for (i, (row, &yi)) in data.chunks_exact(p).zip(y).enumerate() {
-                let wi = row_weights.map_or(1.0, |w| w[i]);
-                let (w, resid) = row_terms(row, yi, wi, beta);
-                fold_row(row, w, resid, grad, upper);
+    grad.fill(0.0);
+    upper.fill(0.0);
+    for (i, (row, &yi)) in design.rows().zip(y).enumerate() {
+        let wi = row_weights.map_or(1.0, |w| w[i]);
+        let mut z = 0.0;
+        for (x, b) in row.iter().zip(beta) {
+            z += x * b;
+        }
+        let mu = sigmoid(z);
+        let w = (mu * (1.0 - mu)).max(1e-10) * wi;
+        let resid = (yi - mu) * wi;
+        let mut t = 0;
+        for (j, &xj) in row.iter().enumerate() {
+            grad[j] += xj * resid;
+            for &xk in &row[j..] {
+                upper[t] += xj * xk * w;
+                t += 1;
             }
-        }
-    }
-}
-
-/// [`accumulate`] for a design of `P` columns, whose packed upper triangle
-/// has `T = P(P+1)/2` entries. The sums live in fixed-size local arrays,
-/// which the fold keeps in vector registers. Rows go in blocks: a first pass
-/// evaluates the block's sigmoids — a libm call, which would spill those
-/// registers on every row — and a second folds the block.
-fn accumulate_fixed<const P: usize, const T: usize>(
-    data: &[f64],
-    y: &[f64],
-    row_weights: Option<&[f64]>,
-    beta: &[f64],
-    grad: &mut [f64],
-    upper: &mut [f64],
-) {
-    const { assert!(T == P * (P + 1) / 2) };
-    let mut b = [0.0; P];
-    b.copy_from_slice(beta);
-    let mut g = [0.0; P];
-    let mut h = [0.0; T];
-    let mut terms = [(0.0, 0.0); BLOCK];
-    let rows = data.as_chunks::<P>().0;
-    for (start, block) in (0..).step_by(BLOCK).zip(rows.chunks(BLOCK)) {
-        for (i, (term, row)) in terms.iter_mut().zip(block).enumerate() {
-            let wi = row_weights.map_or(1.0, |w| w[start + i]);
-            *term = row_terms(row, y[start + i], wi, &b);
-        }
-        for (row, &(w, resid)) in block.iter().zip(&terms) {
-            fold_row(row, w, resid, &mut g, &mut h);
-        }
-    }
-    grad.copy_from_slice(&g);
-    upper.copy_from_slice(&h);
-}
-
-/// One row's IRLS weight and weighted residual at `beta`: with
-/// `z = 0 + x₀β₀ + x₁β₁ + …` and `μ = sigmoid(z)`, the pair
-/// `(max(μ(1−μ), 1e−10)·wᵢ, (yᵢ − μ)·wᵢ)`. This and [`fold_row`] keep the
-/// textbook loop's operation order, so every path gives the same bits.
-#[inline(always)]
-fn row_terms(row: &[f64], yi: f64, wi: f64, beta: &[f64]) -> (f64, f64) {
-    let mut z = 0.0;
-    for (x, b) in row.iter().zip(beta) {
-        z += x * b;
-    }
-    let mu = sigmoid(z);
-    ((mu * (1.0 - mu)).max(1e-10) * wi, (yi - mu) * wi)
-}
-
-/// Adds one row to the gradient (`xⱼ·resid`) and to the packed upper
-/// triangle (`(xⱼ·xₖ)·w`).
-#[inline(always)]
-fn fold_row(row: &[f64], w: f64, resid: f64, grad: &mut [f64], upper: &mut [f64]) {
-    let mut t = 0;
-    for (j, &xj) in row.iter().enumerate() {
-        grad[j] += xj * resid;
-        for &xk in &row[j..] {
-            upper[t] += xj * xk * w;
-            t += 1;
         }
     }
 }
@@ -596,13 +527,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(96))]
 
-        /// Every width the kernel has — the fixed-size paths for 1 to 7
-        /// columns and the fallback for 8 and 9 — against the textbook
-        /// loop, on 12 to 160 rows (so the fixed paths' 64-row blocks end
-        /// both full and partial) of four kinds: unweighted 0/1 outcomes
-        /// over integer codes, weighted proportions over real features,
-        /// separable outcomes, and all-zero weights, whose Hessian is
-        /// singular.
+        /// Designs of 1 to 9 columns against the textbook loop, on 12 to
+        /// 160 rows of four kinds: unweighted 0/1 outcomes over integer
+        /// codes, weighted proportions over real features, separable
+        /// outcomes, and all-zero weights, whose Hessian is singular.
         #[test]
         fn kernel_matches_the_textbook_loop_bit_for_bit(
             n in 12usize..=MAX_ROWS,
