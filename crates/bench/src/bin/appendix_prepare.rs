@@ -2,52 +2,64 @@
 //! encoding) stage by stage and end to end, per dataset, plus the full
 //! 14-query workload of `table2_explanations`/`table3_scores`.
 //!
-//! Emits `BENCH_prepare.json`, the canonical record of the columnar prepare
-//! path: `<dataset>/join` times the code-based gather join,
-//! `<dataset>/bin_encode` the `bin_frame_encoded` → `from_frame_with` path
-//! that `prepare_query` runs, and `<dataset>/prepare` the whole stage.
+//! Emits `BENCH_prepare.json`, the canonical record of the prepare path:
+//! `<dataset>/join` times `extract_and_join_with` over tables fetched
+//! beforehand (collision renames and key matching, extraction excluded),
+//! `<dataset>/bin_encode` times `prepare_from_joined` (binning the base
+//! frame, binning the KG attributes per entity, encoding and sealing), and
+//! `<dataset>/prepare` the whole stage.
 
 use bench::report::BenchReport;
 use bench::{prepare_workload, ExperimentData, Scale};
 use datagen::representative_queries;
-use infotheory::EncodedFrame;
-use mesa::{extract_and_join, ExtractionJoin, PrepareConfig};
-use tabular::{bin_frame_encoded, join, DataFrame, JoinKind};
+use kg::extract_attributes;
+use mesa::{
+    apply_query_context, extract_and_join_with, prepare_from_joined, ColumnExtraction,
+    ExtractionJoin, MesaError, PrepareConfig,
+};
+use tabular::DataFrame;
 
 /// Repetitions of the `bin_encode` entry (at least [`bench::DEFAULT_REPS`],
 /// which is what `BenchReport::time` runs).
 const BIN_ENCODE_REPS: usize = 5;
 
-/// The extraction tables a dataset's first representative query joins in —
-/// produced by the same [`mesa::extract_and_join`] stage `prepare_query`
-/// runs, so the stage timings below replay exactly the real work.
+/// The join stage's inputs for a dataset's first representative query: the
+/// context-filtered frame and the tables extraction fetched for it, in fetch
+/// order and before collision renames.
 struct JoinStage {
     filtered: DataFrame,
-    tables: Vec<ExtractionJoin>,
+    columns: &'static [&'static str],
+    fetched: Vec<ColumnExtraction>,
 }
 
 fn join_stage_inputs(data: &ExperimentData, wq: &datagen::WorkloadQuery) -> JoinStage {
-    let config = PrepareConfig::default();
-    let frame = data.frame(wq.dataset);
-    let filtered = wq.query.apply_context(frame).expect("context applies");
-    let (_, tables) = extract_and_join(
-        &filtered,
-        &data.graph,
-        wq.dataset.extraction_columns(),
-        config.extraction,
-    )
+    let extraction = PrepareConfig::default().extraction;
+    let filtered = apply_query_context(data.frame(wq.dataset), &wq.query).expect("context applies");
+    let columns = wq.dataset.extraction_columns();
+    let mut fetched = Vec::new();
+    extract_and_join_with(&filtered, columns, |_, values, key| {
+        let table = extract_attributes(&data.graph, values, key, extraction)?;
+        let table = ColumnExtraction::from_result(table);
+        fetched.push(table.clone());
+        Ok(table)
+    })
     .expect("extraction stage");
-    JoinStage { filtered, tables }
+    JoinStage {
+        filtered,
+        columns,
+        fetched,
+    }
 }
 
-/// Left-joins the stage's extraction tables onto the filtered frame, in
-/// order, as `prepare_query` does.
-fn replay_joins(stage: &JoinStage) -> DataFrame {
-    let mut joined = stage.filtered.clone();
-    for ej in &stage.tables {
-        joined = join(&joined, &ej.table, &ej.column, &ej.key, JoinKind::Left).expect("join");
-    }
-    joined
+/// The join stage as the pipeline runs it, with every table served from
+/// `stage.fetched` the way a session's extraction cache serves it.
+fn replay_join(stage: &JoinStage) -> (DataFrame, Vec<ExtractionJoin>) {
+    let mut fetched = stage.fetched.iter();
+    extract_and_join_with(&stage.filtered, stage.columns, |column, _, _| {
+        let missing = || MesaError::InvalidInput(format!("no table fetched for {column}"));
+        fetched.next().cloned().ok_or_else(missing)
+    })
+    .expect("join stage")
 }
 
 fn main() {
@@ -68,23 +80,19 @@ fn main() {
         let rows = stage.filtered.n_rows();
 
         let join_ms = report.time(&format!("{name}/join"), rows, 5, || {
-            std::hint::black_box(replay_joins(&stage));
+            std::hint::black_box(replay_join(&stage));
         });
 
-        let joined = replay_joins(&stage);
+        // The shipping pipeline's discretisation, encoding and sealing.
+        // `prepare_from_joined` consumes its inputs, so every repetition
+        // gets its own join output, made before the clock starts.
         let config = PrepareConfig::default();
-        // The shipping pipeline's discretisation: binning that emits codes,
-        // threaded into the encoded frame (what prepare_query runs). Binning
-        // consumes its frame, so every repetition gets a copy made before
-        // the clock starts.
-        let mut copies: Vec<DataFrame> = (0..BIN_ENCODE_REPS).map(|_| joined.clone()).collect();
+        let mut inputs: Vec<_> = (0..BIN_ENCODE_REPS).map(|_| replay_join(&stage)).collect();
         let bin_encode_ms =
             report.time(&format!("{name}/bin_encode"), rows, BIN_ENCODE_REPS, || {
-                let frame = copies.pop().expect("one copy per repetition");
-                let (binned, encodings) =
-                    bin_frame_encoded(frame, config.n_bins, config.bin_strategy, &[])
-                        .expect("binning");
-                std::hint::black_box(EncodedFrame::from_frame_with(&binned, encodings));
+                let (frame, joins) = inputs.pop().expect("one input per repetition");
+                let prepared = prepare_from_joined(&wq.query, frame, joins, config);
+                std::hint::black_box(prepared.expect("prepare"));
             });
         let prepare_ms = report.time(&format!("{name}/prepare"), rows, 5, || {
             std::hint::black_box(prepare_workload(&data, wq).expect("prepare"));

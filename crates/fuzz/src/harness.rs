@@ -1,6 +1,7 @@
 //! The differential harness: runs one [`Scenario`] through the full
 //! prepare → extract → kernel → MCIMR → session pipeline under crossed
-//! configurations and asserts the workspace's six standing oracle families.
+//! configurations and asserts the workspace's seven standing oracle
+//! families.
 //!
 //! Every oracle compares *renderings* (human summary + `Debug` of the full
 //! explanation, which prints every `f64` bit-exactly) or canonicalized joint
@@ -12,17 +13,23 @@
 use std::borrow::Borrow;
 
 use infotheory::kernel::{accumulate, reference_accumulate, Accumulated};
-use mesa::{report_summary, Mesa, MesaError, MesaReport};
+use infotheory::EncodedFrame;
+use kg::KnowledgeGraph;
+use mesa::{report_summary, Mesa, MesaError, MesaReport, PrepareConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tabular::{join, join_rendered, ColumnView, DType, JoinKind, Predicate, SealedColumn};
+use tabular::{
+    bin_frame_encoded, join, join_rendered, AggregateQuery, ColumnView, DType, DataFrame, JoinKind,
+    Predicate, SealedColumn,
+};
 
 use crate::scenario::Scenario;
 
-/// The six oracle families, in the order [`check`] runs them.
-pub const ORACLE_FAMILIES: [&str; 6] = [
+/// The seven oracle families, in the order [`check`] runs them.
+pub const ORACLE_FAMILIES: [&str; 7] = [
     "session-identity",
     "join-equivalence",
+    "prepare-equivalence",
     "kernel-equivalence",
     "thread-identity",
     "fault-recovery",
@@ -132,6 +139,7 @@ fn check_family_inner(
     match family {
         "session-identity" => session_identity(scenario).map(|()| true),
         "join-equivalence" => join_equivalence(scenario).map(|()| true),
+        "prepare-equivalence" => prepare_equivalence(scenario).map(|()| true),
         "kernel-equivalence" => kernel_equivalence(scenario, sabotage).map(|()| true),
         "thread-identity" => thread_identity(scenario).map(|()| true),
         "fault-recovery" => fault_recovery(scenario),
@@ -262,6 +270,100 @@ fn join_equivalence(scenario: &Scenario) -> Result<(), OracleFailure> {
     Ok(())
 }
 
+/// Oracle 3: the prepare path ≡ the gather-then-bin composition it
+/// replaced, for every scenario query the prepare path accepts (see
+/// [`prepare_matches_join_then_bin`]).
+fn prepare_equivalence(scenario: &Scenario) -> Result<(), OracleFailure> {
+    let cols = extraction_cols(scenario);
+    let config = scenario.config.prepare;
+    for (i, query) in scenario.queries.iter().enumerate() {
+        prepare_matches_join_then_bin(&scenario.df, &scenario.graph, &cols, query, config)
+            .map_err(|detail| fail("prepare-equivalence", format!("query {i}: {detail}")))?;
+    }
+    Ok(())
+}
+
+/// Prepares `query` as the pipeline does — [`mesa::prepare_from_joined`]
+/// over [`mesa::extract_and_join`]'s tables and row maps — and compares
+/// the result with the composition that gathers the KG attributes first:
+/// [`tabular::join()`] of each extraction table onto the context-filtered
+/// frame, then [`bin_frame_encoded`], [`EncodedFrame::from_frame_with`] and
+/// sealing. The frames must be equal, and every column must have the same
+/// codes, labels and validity.
+///
+/// Returns `Ok(false)` when the pipeline rejects the query (nothing to
+/// compare), `Ok(true)` when both sides agree, and what differed otherwise.
+pub fn prepare_matches_join_then_bin(
+    df: &DataFrame,
+    graph: &KnowledgeGraph,
+    columns: &[&str],
+    query: &AggregateQuery,
+    config: PrepareConfig,
+) -> Result<bool, String> {
+    let Ok(filtered) = mesa::apply_query_context(df, query) else {
+        return Ok(false);
+    };
+    let Ok((joined, joins)) = mesa::extract_and_join(&filtered, graph, columns, config.extraction)
+    else {
+        return Ok(false);
+    };
+    let Ok(prepared) = mesa::prepare_from_joined(query, joined, joins.clone(), config) else {
+        return Ok(false);
+    };
+
+    let mut gathered = filtered;
+    for ej in &joins {
+        gathered = join(&gathered, &ej.table, &ej.column, &ej.key, JoinKind::Left)
+            .map_err(|e| format!("reference join on {:?} failed: {e:?}", ej.column))?;
+    }
+    let (frame, encodings) = bin_frame_encoded(gathered, config.n_bins, config.bin_strategy)
+        .map_err(|e| format!("reference binning failed: {e:?}"))?;
+    let mut encoded = EncodedFrame::from_frame_with(&frame, encodings);
+    encoded.seal();
+
+    if prepared.frame != frame {
+        let differs: Vec<&str> = frame
+            .columns()
+            .filter(|c| prepared.frame.column(c.name()).ok() != Some(*c))
+            .map(|c| c.name())
+            .collect();
+        return Err(format!(
+            "frames differ: columns {:?} vs {:?}; unequal: {differs:?}",
+            prepared.frame.column_names(),
+            frame.column_names(),
+        ));
+    }
+    let mut names = encoded.column_names();
+    let mut got_names = prepared.encoded.column_names();
+    names.sort_unstable();
+    got_names.sort_unstable();
+    if names != got_names {
+        return Err(format!(
+            "encoded columns differ: {got_names:?} vs {names:?}"
+        ));
+    }
+    for name in names {
+        let (got, want) = match (prepared.encoded.column(name), encoded.column(name)) {
+            (Ok(got), Ok(want)) => (got, want),
+            _ => return Err(format!("encoded column {name:?} is missing")),
+        };
+        if got.codes() != want.codes() {
+            return Err(format!("codes of {name:?} differ"));
+        }
+        if got.labels() != want.labels() {
+            return Err(format!(
+                "labels of {name:?} differ: {:?} vs {:?}",
+                got.labels(),
+                want.labels()
+            ));
+        }
+        if got.validity() != want.validity() {
+            return Err(format!("validity of {name:?} differs"));
+        }
+    }
+    Ok(true)
+}
+
 /// Canonical form of accumulated joint counts: observed cells sorted by key
 /// with bit-exact weights, plus total weight bits and complete-case count.
 fn canonical(acc: &Accumulated) -> (Vec<(Vec<u32>, u64)>, u64, usize) {
@@ -274,7 +376,7 @@ fn canonical(acc: &Accumulated) -> (Vec<(Vec<u32>, u64)>, u64, usize) {
     (cells, acc.total.to_bits(), acc.complete_cases)
 }
 
-/// Oracle 3: sealed ≡ plain ≡ reference kernel counts, bitwise, in both
+/// Oracle 4: sealed ≡ plain ≡ reference kernel counts, bitwise, in both
 /// layouts. Samples a few 2–3 column tuples from the frame and, under the
 /// dense (huge cell budget) and sparse (zero budget) layouts, folds each
 /// through the reference fold and through the production fold over the
@@ -366,7 +468,7 @@ fn kernel_equivalence(scenario: &Scenario, sabotage: Sabotage) -> Result<(), Ora
     Ok(())
 }
 
-/// Oracle 4: thread caps 1/2/4 render byte-identically. The whole session
+/// Oracle 5: thread caps 1/2/4 render byte-identically. The whole session
 /// workload (per-query explains plus `explain_many`) is rendered under each
 /// cap; caps above the actual pool size are skipped (CI is single-core).
 fn thread_identity(scenario: &Scenario) -> Result<(), OracleFailure> {
@@ -405,7 +507,7 @@ fn thread_identity(scenario: &Scenario) -> Result<(), OracleFailure> {
     Ok(())
 }
 
-/// Oracle 5 (requires the `fault-injection` feature): a session that
+/// Oracle 6 (requires the `fault-injection` feature): a session that
 /// suffered an injected panic mid-pipeline and was then reset must serve the
 /// whole workload byte-identically to a fresh cold session. Returns
 /// `Ok(false)` when compiled out.
@@ -449,7 +551,7 @@ fn fault_recovery(_scenario: &Scenario) -> Result<bool, OracleFailure> {
     Ok(false)
 }
 
-/// Oracle 6: fingerprint non-aliasing. Structurally distinct queries (the
+/// Oracle 7: fingerprint non-aliasing. Structurally distinct queries (the
 /// scenario's own plus systematic mutants: every aggregate function, the
 /// stripped context, the swapped exposure/outcome) must have pairwise
 /// distinct fingerprints, and clones must fingerprint identically.
@@ -532,7 +634,7 @@ mod tests {
             let ran = check(&s, Sabotage::None).unwrap_or_else(|f| {
                 panic!("{case:?} violated {f}\n{}", s.describe());
             });
-            assert!(ran.len() >= 5, "{case:?} only ran {ran:?}");
+            assert!(ran.len() >= 6, "{case:?} only ran {ran:?}");
         }
     }
 

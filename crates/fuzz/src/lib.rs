@@ -5,6 +5,7 @@
 //!
 //! Every layer of the system carries a byte-identity or equivalence
 //! invariant — warm ≡ cold ≡ batched sessions, `join` ≡ `join_rendered`,
+//! per-entity KG binning ≡ gathering then binning (prepare equivalence),
 //! sealed ≡ plain ≡ reference-fold kernel counts in both table layouts,
 //! thread caps 1/2/4 byte-identical,
 //! fault-injected-then-recovered ≡ fresh, and fingerprint non-aliasing.
@@ -33,6 +34,8 @@ pub mod harness;
 pub mod minimize;
 pub mod scenario;
 
-pub use harness::{check, check_family, OracleFailure, Sabotage, ORACLE_FAMILIES};
+pub use harness::{
+    check, check_family, prepare_matches_join_then_bin, OracleFailure, Sabotage, ORACLE_FAMILIES,
+};
 pub use minimize::{minimize, MinimizeOutcome};
 pub use scenario::{scenario_seed, HandCase, Scenario};

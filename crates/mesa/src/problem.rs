@@ -4,20 +4,27 @@
 //! Preparation pipeline (shared by MESA and every baseline):
 //!
 //! 1. apply the query context `C` (the `WHERE` clause) to the input table;
-//! 2. join the attributes extracted from the knowledge graph on each
-//!    extraction column;
+//! 2. extract attributes from the knowledge graph for each extraction
+//!    column and match the column's keys to the extracted table's rows
+//!    ([`extract_and_join_with`]); the result is a row map per table, and no
+//!    extracted value is gathered;
 //! 3. bin numeric attributes so the information-theoretic estimators can work
-//!    over discrete codes;
+//!    over discrete codes ([`prepare_from_joined`]): the input table's
+//!    columns row by row, and each extracted attribute — a function of its
+//!    entity — once per entity, its codes written through the row map;
 //! 4. encode every column once into an [`EncodedFrame`] and seal it, so
 //!    every prepared frame holds compressed, immutable columns.
 //!
 //! Everything downstream — pruning, MCIMR, baselines, responsibility, the
 //! subgroup search — operates on the resulting [`PreparedQuery`].
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use infotheory::EncodedFrame;
-use tabular::{bin_frame_encoded, AggregateQuery, BinStrategy, DataFrame, JoinKind};
+use tabular::{
+    bin_frame_encoded, bin_joined, AggregateQuery, BinStrategy, DataFrame, EncodedColumn,
+};
 
 use kg::{extract_attributes, ExtractionConfig, ExtractionResult, ExtractionStats, KnowledgeGraph};
 
@@ -174,20 +181,27 @@ impl Explanation {
 }
 
 /// One extraction column's contribution to the KG-join stage of
-/// [`prepare_query`]: the (collision-renamed) attribute table that was
-/// left-joined in, plus its statistics.
+/// [`prepare_query`]: the (collision-renamed) attribute table, the row map
+/// that joins it onto the frame, and its statistics.
+///
+/// The table's values are never gathered into the frame.
+/// [`prepare_from_joined`] bins each attribute once per entity (table row)
+/// and writes its frame column through [`ExtractionJoin::rows`].
 #[derive(Debug, Clone)]
 pub struct ExtractionJoin {
     /// The table column whose values were linked to KG entities.
     pub column: String,
     /// Name of the key column inside [`ExtractionJoin::table`].
     pub key: String,
-    /// The extracted attribute table, after collision renames — exactly what
-    /// was joined onto the frame. Shared (`Arc`) so a session's extraction
-    /// cache can hand the same table to many queries without copying it.
+    /// The extracted attribute table, after collision renames: one row per
+    /// entity. Shared (`Arc`) so a session's extraction cache can hand the
+    /// same table to many queries without copying it.
     pub table: Arc<DataFrame>,
     /// Names of the attribute columns contributed by this table.
     pub attribute_names: Vec<String>,
+    /// The join's row map ([`tabular::join_rows`]): frame row `i` holds
+    /// table row `rows[i]`, or no entity when its key is null or unmatched.
+    pub rows: Vec<Option<usize>>,
     /// Linking/extraction statistics.
     pub stats: ExtractionStats,
 }
@@ -229,11 +243,11 @@ impl ColumnExtraction {
 
 /// The KG extraction + join stage of [`prepare_query`], exposed on its own:
 /// for each extraction column present in `df`, extracts the attributes of its
-/// distinct values, renames collisions against the progressively joined frame
-/// (`"<name> (<col>)"`), and left-joins the result. Returns the joined frame
-/// together with each stage table — the `appendix_prepare` benchmark replays
-/// the same tables through both join implementations, so what it times is by
-/// construction what the pipeline runs.
+/// distinct values, renames collisions (`"<name> (<col>)"`) against the
+/// frame's columns and the attributes joined so far, and matches the
+/// column's keys to the table's rows. Returns `df` unchanged together with
+/// each stage table and its row map, which [`prepare_from_joined`] turns
+/// into binned frame columns.
 pub fn extract_and_join(
     df: &DataFrame,
     graph: &KnowledgeGraph,
@@ -250,10 +264,14 @@ pub fn extract_and_join(
 /// [`extract_and_join`] with the per-column extraction injected: `fetch` is
 /// called as `fetch(column, distinct_values, key_column)` and may serve the
 /// result from a cache (the session path) or extract on the spot (the cold
-/// path). Collision renames against the progressively joined frame are
-/// applied here, per query, on top of the fetched (pre-rename) table —
-/// in place when the table is unshared, on a copy-on-write clone when it
-/// came out of a cache.
+/// path). Collision renames are applied here, per query, on top of the
+/// fetched (pre-rename) table — in place when the table is unshared, on a
+/// copy-on-write clone when it came out of a cache.
+///
+/// Renames check the names of the frame [`prepare_from_joined`] assembles:
+/// `df`'s columns, then each earlier table's attributes under the names
+/// [`tabular::join()`] gives them. An extraction column may name such an
+/// attribute; its keys are then that attribute's values.
 pub fn extract_and_join_with<F>(
     df: &DataFrame,
     extraction_columns: &[&str],
@@ -262,16 +280,15 @@ pub fn extract_and_join_with<F>(
 where
     F: FnMut(&str, &[String], &str) -> Result<ColumnExtraction>,
 {
-    let mut joined = df.clone();
-    let mut joins = Vec::new();
+    let mut taken: HashSet<String> = df.column_names().into_iter().map(String::from).collect();
+    let mut joins: Vec<ExtractionJoin> = Vec::new();
     for &col in extraction_columns {
-        if !joined.has_column(col) {
+        let Some(keys) = join_keys(df, &joins, col)? else {
             continue;
-        }
+        };
         // Distinct values of the extraction column (borrowed from the
         // encoding — extraction does not need its own copy).
-        let encoded = joined.column(col)?.encode();
-        let values = encoded.labels();
+        let values = keys.labels();
         if values.is_empty() {
             continue;
         }
@@ -283,7 +300,7 @@ where
         let renames: Vec<(String, String)> = fetched
             .attribute_names
             .iter()
-            .filter(|name| joined.has_column(name))
+            .filter(|name| taken.contains(name.as_str()))
             .map(|name| (name.clone(), format!("{name} ({col})")))
             .collect();
         let attribute_names = if renames.is_empty() {
@@ -305,16 +322,42 @@ where
         };
         parallel::fault_point!("mesa.join");
         parallel::checkpoint();
-        joined = tabular::join(&joined, &table, col, &key, JoinKind::Left)?;
+        let rows = tabular::join_rows(&keys, &table.column(&key)?.encode());
+        for name in table.column_names() {
+            if name != key {
+                taken.insert(tabular::join_name(name, |n| taken.contains(n)));
+            }
+        }
         joins.push(ExtractionJoin {
             column: col.to_string(),
             key,
             table,
             attribute_names,
+            rows,
             stats: fetched.stats,
         });
     }
-    Ok((joined, joins))
+    Ok((df.clone(), joins))
+}
+
+/// The encoded keys of extraction column `col`: a column of `df`, or else
+/// an attribute an earlier join appended under that name (its values
+/// gathered through the join's row map), or `None` when neither exists.
+fn join_keys(df: &DataFrame, joins: &[ExtractionJoin], col: &str) -> Result<Option<EncodedColumn>> {
+    if df.has_column(col) {
+        return Ok(Some(df.column(col)?.encode()));
+    }
+    let mut taken: HashSet<String> = df.column_names().into_iter().map(String::from).collect();
+    for join in joins {
+        for column in join.table.columns().filter(|c| c.name() != join.key) {
+            let name = tabular::join_name(column.name(), |n| taken.contains(n));
+            if name == col {
+                return Ok(Some(column.take_opt(&join.rows).encode()));
+            }
+            taken.insert(name);
+        }
+    }
+    Ok(None)
 }
 
 /// Prepares a query for explanation: applies the context, extracts and joins
@@ -360,37 +403,56 @@ pub fn apply_query_context(df: &DataFrame, query: &AggregateQuery) -> Result<Dat
     Ok(filtered)
 }
 
-/// The binning + encoding tail of [`prepare_query`], callable on a frame the
-/// caller has already joined (e.g. from a session's cached extraction
-/// tables): bins numeric attributes, threads the bin codes into the encoded
-/// frame, assembles the candidate set, seals the encoded frame, and packs
-/// everything into a [`PreparedQuery`].
+/// The binning + encoding tail of [`prepare_query`], callable on the
+/// output of [`extract_and_join_with`] (e.g. from a session's cached
+/// extraction tables): bins the numeric columns of the base frame, appends
+/// each join's attributes already binned, assembles the candidate set, seals
+/// the encoded frame, and packs everything into a [`PreparedQuery`].
+///
+/// The attributes of each join follow the base columns in table order,
+/// named as [`tabular::join()`] would name them. Each one is a function of its
+/// entity, so [`tabular::bin_joined`] bins it once per entity and writes
+/// its frame column and codes through the join's row map; the result equals
+/// joining the tables with [`tabular::join()`] and binning the joined frame.
 pub fn prepare_from_joined(
     query: &AggregateQuery,
     joined: DataFrame,
     extraction_joins: Vec<ExtractionJoin>,
     config: PrepareConfig,
 ) -> Result<PreparedQuery> {
+    // 3. Binning, in place on the base frame. The exposure is left unbinned
+    //    only if categorical; numeric exposures are binned like everything
+    //    else (paper §2.1). The pass also hands back the encodings it
+    //    computed along the way (bin codes of binned columns, domain-check
+    //    encodings of small numeric ones).
+    let (mut frame, mut encodings) = bin_frame_encoded(joined, config.n_bins, config.bin_strategy)?;
     let mut extracted_names: Vec<String> = Vec::new();
     let mut extraction_stats = Vec::new();
     for ej in extraction_joins {
+        let binned = bin_joined(
+            &ej.table,
+            &ej.key,
+            &ej.rows,
+            config.n_bins,
+            config.bin_strategy,
+        )?;
+        for (mut column, encoding) in binned {
+            let name = tabular::join_name(column.name(), |n| frame.has_column(n));
+            if let Some(encoding) = encoding {
+                encodings.push((name.clone(), encoding));
+            }
+            column.rename(name);
+            frame.add_column(column)?;
+        }
         extracted_names.extend(ej.attribute_names);
         extraction_stats.push((ej.column, ej.stats));
     }
 
-    // 3. Binning, in place on the joined frame. The exposure is left
-    //    unbinned only if categorical; numeric exposures are binned like
-    //    everything else (paper §2.1). The pass also hands back the
-    //    encodings it computed along the way (bin codes of binned columns,
-    //    domain-check encodings of small numeric ones).
-    let (binned, bin_encodings) =
-        bin_frame_encoded(joined, config.n_bins, config.bin_strategy, &[])?;
-
     // 4. Encoding + candidate assembly. Binned columns flow code-to-code:
-    //    their encodings were produced by the binning pass, so only the
+    //    their encodings were produced by the binning passes, so only the
     //    remaining (categorical/bool) columns are encoded here.
-    let mut encoded = EncodedFrame::from_frame_with(&binned, bin_encodings);
-    let candidates: Vec<String> = binned
+    let mut encoded = EncodedFrame::from_frame_with(&frame, encodings);
+    let candidates: Vec<String> = frame
         .column_names()
         .into_iter()
         .filter(|&n| n != query.exposure && n != query.outcome)
@@ -408,7 +470,7 @@ pub fn prepare_from_joined(
 
     Ok(PreparedQuery {
         query: query.clone(),
-        frame: binned,
+        frame,
         encoded,
         candidates,
         extracted: extracted_names,

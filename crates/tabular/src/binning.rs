@@ -10,6 +10,13 @@
 //! the bin edges or in the decision whether a column needs binning, and a
 //! numeric column that [`bin_frame_encoded`] leaves unbinned has it set to
 //! null.
+//!
+//! An attribute extracted from a knowledge graph is a function of its
+//! entity. [`bin_joined`] bins it once per entity, weighting each entity by
+//! the rows that hold it, and writes only the resulting codes per row; the
+//! edges are exactly those of the rows, so the output equals gathering the
+//! values first. One loop serves both levels: row-level binning
+//! ([`bin_column`]) is the case where every row is its own entity.
 
 use std::borrow::Cow;
 
@@ -27,20 +34,9 @@ pub enum BinStrategy {
     EqualFrequency,
 }
 
-/// Linear interpolation at fraction `q ∈ [0, 1]` over an ascending-sorted,
-/// non-empty slice — the one quantile kernel shared by [`quantile`] and the
-/// equal-frequency edge computation.
-fn interpolate_sorted(sorted: &[f64], q: f64) -> f64 {
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-}
-
 /// The numeric cells of a column as a slice: borrowed straight from the
 /// backing storage for float columns (the common case after KG extraction —
-/// no copy at all), materialised once for int/bool columns.
+/// no copy at all), materialised once for int columns.
 fn f64_view(column: &Column) -> Cow<'_, [Option<f64>]> {
     match column.data() {
         ColumnData::Float(v) => Cow::Borrowed(v.as_slice()),
@@ -56,49 +52,73 @@ fn f64_view(column: &Column) -> Cow<'_, [Option<f64>]> {
 /// The encoding is built from the bin indices while they are assigned (a
 /// dense first-appearance remap over at most `n_bins` slots), and is
 /// bit-identical to what `binned.encode()` would produce — but without
-/// re-rendering every cell to a string and re-hashing it.
+/// re-rendering every cell to a string and re-hashing it. This is the
+/// row-level case of the binning [`bin_joined`] does per entity: every row
+/// is its own entity.
 pub fn bin_column(
     column: &Column,
     n_bins: usize,
     strategy: BinStrategy,
 ) -> Result<(Column, Option<EncodedColumn>)> {
+    check_n_bins(n_bins)?;
+    if !column.dtype().is_numeric() {
+        return Ok((column.clone(), None));
+    }
+    let rows = (0..column.len()).map(Some);
+    let (binned, encoded) = bin_entities(column, None, rows, n_bins, strategy);
+    Ok((binned, Some(encoded)))
+}
+
+fn check_n_bins(n_bins: usize) -> Result<()> {
     if n_bins == 0 {
         return Err(TabularError::InvalidArgument(
             "n_bins must be positive".into(),
         ));
     }
-    if !column.dtype().is_numeric() {
-        return Ok((column.clone(), None));
-    }
+    Ok(())
+}
+
+/// The one binning loop. `column` holds one cell per entity; `rows` yields,
+/// for every output row, the entity it holds (`None`: a null row), and
+/// `occurrences[e]` counts those rows per entity (`None`: one row each).
+///
+/// The bin edges are those of the output rows' present values, computed
+/// from the entities that occur weighted by their row counts; each entity is
+/// then assigned its bin once, and one pass over `rows` writes the binned
+/// column, its first-appearance codes, its validity and its labels.
+fn bin_entities(
+    column: &Column,
+    occurrences: Option<&[usize]>,
+    rows: impl ExactSizeIterator<Item = Option<usize>>,
+    n_bins: usize,
+    strategy: BinStrategy,
+) -> (Column, EncodedColumn) {
     let values = f64_view(column);
-    let n = values.len();
-    let edges = match bin_edges(&values, n_bins, strategy) {
-        Some(edges) => edges,
+    let n = rows.len();
+    let Some(edges) = bin_edges(present_rows(&values, occurrences), n_bins, strategy) else {
         // Entirely missing: every row is null in the binned column too.
-        None => {
-            let out = Column::from_i64(column.name(), vec![None; n]);
-            let encoded =
-                EncodedColumn::from_parts(vec![0; n], Bitmap::new_all_unset(n), Vec::new());
-            return Ok((out, Some(encoded)));
-        }
+        let out = Column::from_i64(column.name(), vec![None; n]);
+        let encoded = EncodedColumn::from_parts(vec![0; n], Bitmap::new_all_unset(n), Vec::new());
+        return (out, encoded);
     };
-    // Assign bins and build the first-appearance code remap in one pass,
-    // writing the codes and the validity bitmap directly.
+    let bins: Vec<Option<usize>> = values
+        .iter()
+        .map(|v| v.filter(|v| !v.is_nan()).map(|v| assign_bin(v, &edges)))
+        .collect();
     const UNSEEN: u32 = u32::MAX;
     let mut binned: Vec<Option<i64>> = Vec::with_capacity(n);
     let mut codes: Vec<u32> = Vec::with_capacity(n);
     let mut validity = Bitmap::new_all_set(n);
     let mut remap: Vec<u32> = vec![UNSEEN; edges.len() + 1];
     let mut labels: Vec<String> = Vec::new();
-    for (row, v) in values.iter().enumerate() {
-        match v.filter(|v| !v.is_nan()) {
+    for (row, entity) in rows.enumerate() {
+        match entity.and_then(|e| bins[e]) {
             None => {
                 binned.push(None);
                 codes.push(0);
                 validity.clear(row);
             }
-            Some(v) => {
-                let bin = assign_bin(v, &edges);
+            Some(bin) => {
                 binned.push(Some(bin as i64));
                 let slot = &mut remap[bin];
                 if *slot == UNSEEN {
@@ -110,29 +130,42 @@ pub fn bin_column(
         }
     }
     let encoded = EncodedColumn::from_parts(codes, validity, labels);
-    Ok((Column::from_i64(column.name(), binned), Some(encoded)))
+    (Column::from_i64(column.name(), binned), encoded)
+}
+
+/// The present values (neither null nor NaN) of the entities that occur,
+/// each with its number of rows: one row each when `occurrences` is `None`.
+fn present_rows(values: &[Option<f64>], occurrences: Option<&[usize]>) -> Vec<(f64, usize)> {
+    let present = |v: &Option<f64>| v.filter(|v| !v.is_nan());
+    match occurrences {
+        None => values.iter().filter_map(present).map(|v| (v, 1)).collect(),
+        Some(counts) => values
+            .iter()
+            .zip(counts)
+            .filter(|&(_, &rows)| rows > 0)
+            .filter_map(|(v, &rows)| present(v).map(|v| (v, rows)))
+            .collect(),
+    }
 }
 
 /// Computes the interior bin edges (length `≤ n_bins - 1`, sorted ascending)
-/// of a numeric view, or `None` when it has no present values. NaN cells
-/// count as missing.
+/// of a multiset of present values given as `(value, rows)` pairs, or `None`
+/// when it is empty.
 ///
-/// Equal-width edges come from a single borrowed min/max scan (no gather at
-/// all); the equal-frequency path gathers and sorts the present values once
-/// and interpolates through [`interpolate_sorted`].
-fn bin_edges(values: &[Option<f64>], n_bins: usize, strategy: BinStrategy) -> Option<Vec<f64>> {
+/// Equal-width edges come from the min and max; equal-frequency edges
+/// interpolate the sorted multiset through [`interpolate_ranked`], which
+/// gives exactly the edges of the sorted rows.
+fn bin_edges(present: Vec<(f64, usize)>, n_bins: usize, strategy: BinStrategy) -> Option<Vec<f64>> {
     match strategy {
         BinStrategy::EqualWidth => {
+            if present.is_empty() {
+                return None;
+            }
             let mut min = f64::INFINITY;
             let mut max = f64::NEG_INFINITY;
-            let mut any = false;
-            for v in present(values) {
+            for &(v, _) in &present {
                 min = min.min(v);
                 max = max.max(v);
-                any = true;
-            }
-            if !any {
-                return None;
             }
             if min == max {
                 return Some(Vec::new());
@@ -141,9 +174,9 @@ fn bin_edges(values: &[Option<f64>], n_bins: usize, strategy: BinStrategy) -> Op
             Some((1..n_bins).map(|i| min + width * i as f64).collect())
         }
         BinStrategy::EqualFrequency => {
-            let sorted = sorted_present(values)?;
+            let ranked = rank_sorted(present)?;
             let mut edges: Vec<f64> = (1..n_bins)
-                .map(|i| interpolate_sorted(&sorted, i as f64 / n_bins as f64))
+                .map(|i| interpolate_ranked(&ranked, i as f64 / n_bins as f64))
                 .collect();
             edges.dedup_by(|a, b| a == b);
             Some(edges)
@@ -151,21 +184,35 @@ fn bin_edges(values: &[Option<f64>], n_bins: usize, strategy: BinStrategy) -> Op
     }
 }
 
-/// The present values of a numeric view: neither null nor NaN.
-fn present(values: &[Option<f64>]) -> impl Iterator<Item = f64> + '_ {
-    values.iter().flatten().copied().filter(|v| !v.is_nan())
-}
-
-/// The present values of a numeric view in ascending order, or `None` when
-/// there are none. Without NaN, [`f64::total_cmp`] orders like `<` except
-/// that it puts `-0.0` before `0.0`.
-fn sorted_present(values: &[Option<f64>]) -> Option<Vec<f64>> {
-    let mut sorted: Vec<f64> = present(values).collect();
-    if sorted.is_empty() {
+/// Sorts `(value, rows)` pairs by value and replaces each pair's row count
+/// by the rank one past its last row, or returns `None` when there are no
+/// pairs. Without NaN, [`f64::total_cmp`] orders like `<` except that it
+/// puts `-0.0` before `0.0`.
+fn rank_sorted(mut present: Vec<(f64, usize)>) -> Option<Vec<(f64, usize)>> {
+    if present.is_empty() {
         return None;
     }
-    sorted.sort_unstable_by(f64::total_cmp);
-    Some(sorted)
+    present.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    let mut end = 0;
+    for pair in &mut present {
+        end += pair.1;
+        pair.1 = end;
+    }
+    Some(present)
+}
+
+/// Linear interpolation at fraction `q ∈ [0, 1]` over the `N` rows of a
+/// non-empty [`rank_sorted`] multiset: the position `q·(N−1)` between the
+/// values of ranks `lo = ⌊pos⌋` and `hi = ⌈pos⌉` — the one quantile kernel
+/// shared by [`quantile`] and the equal-frequency edges.
+fn interpolate_ranked(ranked: &[(f64, usize)], q: f64) -> f64 {
+    let n = ranked.last().map_or(0, |&(_, end)| end);
+    let pos = q * (n - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    let frac = pos - lo as f64;
+    let at = |rank: usize| ranked[ranked.partition_point(|&(_, end)| end <= rank)].0;
+    at(lo) * (1.0 - frac) + at(hi) * frac
 }
 
 /// Returns the 0-based bin index of a value given interior edges: the number
@@ -183,28 +230,27 @@ fn assign_bin(value: f64, edges: &[f64]) -> usize {
 }
 
 /// Bins every numeric column of the frame it takes, in place, leaving
-/// categorical/boolean columns and any column named in `exclude` untouched,
-/// and returns a discrete encoding for every *numeric* non-excluded column.
+/// categorical/boolean columns untouched, and returns a discrete encoding
+/// for every numeric column.
 ///
 /// Columns with at most `n_bins` distinct values are left unbinned —
 /// binning them would only lose information. Their encoding is an ordinary
 /// [`Column::encode`] pass (cheap at that cardinality); a binned column's is
 /// the one [`bin_column`] emits. Callers building an encoded view of the
-/// result (MESA's `prepare_query`) reuse these instead of re-encoding from
-/// scratch. Each binned column replaces its source at once, so the frame is
-/// never copied.
+/// result (MESA's `prepare_from_joined`) reuse these instead of re-encoding
+/// from scratch. Each binned column replaces its source at once, so the
+/// frame is never copied.
 pub fn bin_frame_encoded(
     mut df: DataFrame,
     n_bins: usize,
     strategy: BinStrategy,
-    exclude: &[&str],
 ) -> Result<(DataFrame, Vec<(String, EncodedColumn)>)> {
     let mut encodings: Vec<(String, EncodedColumn)> = Vec::new();
     for col in df.columns_mut() {
-        if exclude.contains(&col.name()) || !col.dtype().is_numeric() {
+        if !col.dtype().is_numeric() {
             continue;
         }
-        if !distinct_exceeds(col, n_bins) {
+        if !distinct_exceeds(col, None, n_bins) {
             // Domain already fits: the column stays unbinned, with its NaN
             // cells nulled so that they read as missing here too, and its
             // ordinary encoding is exactly its final encoding.
@@ -223,16 +269,83 @@ pub fn bin_frame_encoded(
     Ok((df, encodings))
 }
 
+/// Bins the columns that a left join of the entity table `table` on `key`
+/// appends to a frame, without gathering their values first. `rows` is the
+/// join's row map ([`crate::join_rows`]): frame row `i` holds table row
+/// `rows[i]`, or nulls when it is `None`.
+///
+/// Returns every column but `key`, in table order and under its table name,
+/// each paired with its encoding (`None` for non-numeric columns). The
+/// result equals joining with [`crate::join()`] and then binning with
+/// [`bin_frame_encoded`], column for column:
+///
+/// - a numeric column whose entities that occur in at least one row hold
+///   more than `n_bins` distinct present values is binned once per entity,
+///   from edges that weight each entity by its number of rows, and written
+///   through `rows` in one pass;
+/// - any other column is gathered with [`Column::take_opt`]; a numeric one
+///   then has its NaN cells nulled and is encoded as a small domain.
+///
+/// # Errors
+/// [`TabularError::RowOutOfBounds`] when `rows` names a row past the table,
+/// and [`TabularError::InvalidArgument`] when a column needs binning and
+/// `n_bins` is zero.
+pub fn bin_joined(
+    table: &DataFrame,
+    key: &str,
+    rows: &[Option<usize>],
+    n_bins: usize,
+    strategy: BinStrategy,
+) -> Result<Vec<(Column, Option<EncodedColumn>)>> {
+    let len = table.n_rows();
+    let mut occurrences = vec![0usize; len];
+    for &row in rows.iter().flatten() {
+        let count = occurrences
+            .get_mut(row)
+            .ok_or(TabularError::RowOutOfBounds { index: row, len })?;
+        *count += 1;
+    }
+    let mut out = Vec::with_capacity(table.n_cols());
+    for column in table.columns().filter(|c| c.name() != key) {
+        if column.dtype().is_numeric() && distinct_exceeds(column, Some(&occurrences), n_bins) {
+            check_n_bins(n_bins)?;
+            let entities = rows.iter().copied();
+            let (binned, codes) =
+                bin_entities(column, Some(&occurrences), entities, n_bins, strategy);
+            out.push((binned, Some(codes)));
+            continue;
+        }
+        let mut gathered = column.take_opt(rows);
+        let encoding = if gathered.dtype().is_numeric() {
+            null_nans(&mut gathered)?;
+            Some(gathered.encode())
+        } else {
+            None
+        };
+        out.push((gathered, encoding));
+    }
+    Ok(out)
+}
+
 /// Whether a numeric column has more than `n_bins` distinct present values
-/// (neither null nor NaN), keyed as [`Column::encode`] keys them (exact
-/// `i64`/`bool` values; floats by canonical bit pattern, `-0.0 ≡ 0.0`) but
+/// (neither null nor NaN) among the cells whose `occurrences` count is
+/// positive (all cells when `None`), keyed as [`Column::encode`] keys them
+/// (exact `i64` values; floats by canonical bit pattern, `-0.0 ≡ 0.0`) but
 /// without rendering a single label — the scan stops as soon as the
 /// threshold is exceeded, so high-cardinality columns (the ones that will be
 /// binned) never pay for a full dictionary encode just to decide that.
-fn distinct_exceeds(column: &Column, n_bins: usize) -> bool {
-    fn over<K: std::hash::Hash + Eq, I: Iterator<Item = Option<K>>>(cells: I, n: usize) -> bool {
+fn distinct_exceeds(column: &Column, occurrences: Option<&[usize]>, n_bins: usize) -> bool {
+    fn over<K, I>(cells: I, occurrences: Option<&[usize]>, n: usize) -> bool
+    where
+        K: std::hash::Hash + Eq,
+        I: Iterator<Item = Option<K>>,
+    {
         let mut seen = std::collections::HashSet::with_capacity(n + 1);
-        for cell in cells.flatten() {
+        for (i, cell) in cells.enumerate() {
+            let Some(cell) = cell else { continue };
+            if occurrences.is_some_and(|counts| counts[i] == 0) {
+                continue;
+            }
             if seen.insert(cell) && seen.len() > n {
                 return true;
             }
@@ -240,8 +353,7 @@ fn distinct_exceeds(column: &Column, n_bins: usize) -> bool {
         false
     }
     match column.data() {
-        ColumnData::Int(v) => over(v.iter().copied(), n_bins),
-        ColumnData::Bool(v) => over(v.iter().copied(), n_bins),
+        ColumnData::Int(v) => over(v.iter().copied(), occurrences, n_bins),
         ColumnData::Float(v) => over(
             v.iter().map(|x| {
                 x.filter(|x| !x.is_nan()).map(|x| {
@@ -252,10 +364,11 @@ fn distinct_exceeds(column: &Column, n_bins: usize) -> bool {
                     }
                 })
             }),
+            occurrences,
             n_bins,
         ),
         // Non-numeric columns never reach this check.
-        ColumnData::Categorical { .. } => false,
+        ColumnData::Bool(_) | ColumnData::Categorical { .. } => false,
     }
 }
 
@@ -276,8 +389,8 @@ pub fn quantile(column: &Column, q: f64) -> Option<f64> {
     if !(0.0..=1.0).contains(&q) {
         return None;
     }
-    let sorted = sorted_present(&f64_view(column))?;
-    Some(interpolate_sorted(&sorted, q))
+    let ranked = rank_sorted(present_rows(&f64_view(column), None))?;
+    Some(interpolate_ranked(&ranked, q))
 }
 
 #[cfg(test)]
@@ -340,18 +453,18 @@ mod tests {
     }
 
     #[test]
-    fn bin_frame_excludes_and_skips_small_domains() {
+    fn bin_frame_skips_small_domains() {
         let df = DataFrameBuilder::new()
             .float("big", (0..50).map(|i| Some(i as f64)).collect())
             .int("small", (0..50).map(|i| Some(i % 3)).collect())
-            .float("keep", (0..50).map(|i| Some(i as f64 * 2.0)).collect())
+            .float("doubled", (0..50).map(|i| Some(i as f64 * 2.0)).collect())
             .cat("cat", (0..50).map(|_| Some("x")).collect())
             .build()
             .unwrap();
-        let (out, _) = bin_frame_encoded(df, 5, BinStrategy::EqualFrequency, &["keep"]).unwrap();
+        let (out, _) = bin_frame_encoded(df, 5, BinStrategy::EqualFrequency).unwrap();
         assert_eq!(out.column("big").unwrap().n_distinct(), 5);
         assert_eq!(out.column("small").unwrap().n_distinct(), 3); // untouched (<= n_bins)
-        assert_eq!(out.column("keep").unwrap().n_distinct(), 50); // excluded
+        assert_eq!(out.column("doubled").unwrap().n_distinct(), 5);
         assert_eq!(out.column("cat").unwrap().dtype(), DType::Categorical);
     }
 
@@ -402,7 +515,7 @@ mod tests {
             .cat("cat", (0..50).map(|_| Some("x")).collect())
             .build()
             .unwrap();
-        let (out, encodings) = bin_frame_encoded(df, 5, BinStrategy::EqualFrequency, &[]).unwrap();
+        let (out, encodings) = bin_frame_encoded(df, 5, BinStrategy::EqualFrequency).unwrap();
         let names: Vec<&str> = encodings.iter().map(|(n, _)| n.as_str()).collect();
         // both numeric columns get encodings (binned and domain-checked), the
         // categorical one does not
@@ -457,26 +570,28 @@ mod tests {
                     .collect(),
             )
             .int("small", (0..n).map(|i| Some(i as i64 % 3)).collect())
-            .float("skip", (0..n).map(|i| Some(i as f64)).collect())
+            .float("ramp", (0..n).map(|i| Some(i as f64)).collect())
             .float("empty", vec![None; n])
             .boolean("b", (0..n).map(|i| Some(i % 2 == 0)).collect())
             .cat("c", (0..n).map(|i| Some(["x", "y", "z"][i % 3])).collect())
             .build()
             .unwrap();
         for strategy in [BinStrategy::EqualWidth, BinStrategy::EqualFrequency] {
-            let (out, encodings) = bin_frame_encoded(df.clone(), 5, strategy, &["skip"]).unwrap();
+            let (out, encodings) = bin_frame_encoded(df.clone(), 5, strategy).unwrap();
             // Column order is kept; "empty" (an all-null float column) has
             // no domain to exceed, so it stays unbinned but encoded, and the
             // bool and categorical columns are not numeric.
             let names: Vec<&str> = out.columns().map(|c| c.name()).collect();
-            assert_eq!(names, vec!["f", "i", "small", "skip", "empty", "b", "c"]);
-            let want: Vec<(String, EncodedColumn)> = ["f", "i", "small", "empty"]
+            assert_eq!(names, vec!["f", "i", "small", "ramp", "empty", "b", "c"]);
+            let want: Vec<(String, EncodedColumn)> = ["f", "i", "small", "ramp", "empty"]
                 .iter()
                 .map(|&c| (c.to_string(), out.column(c).unwrap().encode()))
                 .collect();
             assert_eq!(encodings, want, "{strategy:?}");
-            assert_eq!(out.column("f").unwrap().dtype(), DType::Int);
-            for untouched in ["small", "skip", "empty", "b", "c"] {
+            for binned in ["f", "ramp"] {
+                assert_eq!(out.column(binned).unwrap().dtype(), DType::Int);
+            }
+            for untouched in ["small", "empty", "b", "c"] {
                 let (got, input) = (out.column(untouched), df.column(untouched));
                 assert_eq!(got.unwrap(), input.unwrap(), "{untouched} {strategy:?}");
             }
@@ -565,14 +680,12 @@ mod tests {
                     DataFrame::from_columns(vec![nan_col.clone(), nan_small.clone()]).unwrap(),
                     4,
                     strategy,
-                    &[],
                 )
                 .unwrap();
                 let want = bin_frame_encoded(
                     DataFrame::from_columns(vec![null_col.clone(), null_small.clone()]).unwrap(),
                     4,
                     strategy,
-                    &[],
                 )
                 .unwrap();
                 assert_eq!(got, want, "trial {trial} {strategy:?}");
@@ -585,5 +698,122 @@ mod tests {
         let (b, _) = bin_column(&all_nan, 4, BinStrategy::EqualFrequency).unwrap();
         assert_eq!(b.null_count(), 5);
         assert_eq!(quantile(&all_nan, 0.5), None);
+    }
+
+    /// An entity table keyed by `k` and a frame whose `key` column names
+    /// its entities (some unknown, some null), as a KG join sees them.
+    fn entity_case(state: &mut u64) -> (DataFrame, DataFrame) {
+        let n_entities = 1 + (lcg(state) % 40) as usize;
+        let n_rows = 1 + (lcg(state) % 300) as usize;
+        let mut cell = |modulus: u64| lcg(state) % modulus;
+        let keys: Vec<String> = (0..n_entities).map(|e| format!("e{e}")).collect();
+        let mut floats = Vec::new();
+        let mut ints = Vec::new();
+        let mut few = Vec::new();
+        let mut cats = Vec::new();
+        let mut bools = Vec::new();
+        for _ in 0..n_entities {
+            floats.push(match cell(10) {
+                0 => None,
+                1 => Some(f64::NAN),
+                2 => Some(-0.0),
+                3 => Some(0.0),
+                _ => Some(cell(30) as f64 / 3.0 - 4.0),
+            });
+            ints.push((cell(8) != 0).then(|| cell(1000) as i64 - 500));
+            few.push((cell(6) != 0).then(|| (cell(4) as f64) * 0.5));
+            cats.push((cell(5) != 0).then(|| ["x", "y", "z"][cell(3) as usize]));
+            bools.push((cell(5) != 0).then(|| cell(2) == 0));
+        }
+        let table = DataFrameBuilder::new()
+            .cat("k", keys.iter().map(|k| Some(k.as_str())).collect())
+            .float("f", floats)
+            .int("i", ints)
+            .float("few", few)
+            .cat("c", cats)
+            .boolean("b", bools)
+            .build()
+            .unwrap();
+        let frame_keys: Vec<Option<String>> = (0..n_rows)
+            .map(|_| match cell(12) {
+                0 => None,
+                1 => Some("unknown".to_string()),
+                // Skewed towards low entities, so row counts differ.
+                _ => Some(format!(
+                    "e{}",
+                    cell(n_entities as u64).min(cell(n_entities as u64))
+                )),
+            })
+            .collect();
+        let frame = DataFrameBuilder::new()
+            .cat("key", frame_keys.iter().map(|k| k.as_deref()).collect())
+            .build()
+            .unwrap();
+        (frame, table)
+    }
+
+    #[test]
+    fn bin_joined_equals_join_then_bin_frame_encoded() {
+        use crate::join::{join, join_rows, JoinKind};
+        let mut state = 2027;
+        for trial in 0..300 {
+            let (frame, table) = entity_case(&mut state);
+            let n_bins = 1 + (lcg(&mut state) % 7) as usize;
+            let rows = join_rows(
+                &frame.column("key").unwrap().encode(),
+                &table.column("k").unwrap().encode(),
+            );
+            let joined = join(&frame, &table, "key", "k", JoinKind::Left).unwrap();
+            for strategy in [BinStrategy::EqualWidth, BinStrategy::EqualFrequency] {
+                let (want, encodings) =
+                    bin_frame_encoded(joined.clone(), n_bins, strategy).unwrap();
+                let got = bin_joined(&table, "k", &rows, n_bins, strategy).unwrap();
+                let names: Vec<&str> = got.iter().map(|(c, _)| c.name()).collect();
+                assert_eq!(names, vec!["f", "i", "few", "c", "b"]);
+                for (column, encoding) in &got {
+                    let name = column.name();
+                    let what = format!("trial {trial} {name} {n_bins} bins {strategy:?}");
+                    assert_eq!(column, want.column(name).unwrap(), "{what}");
+                    let want_encoding = encodings.iter().find(|(n, _)| n == name);
+                    assert_eq!(encoding.as_ref(), want_encoding.map(|(_, e)| e), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bin_joined_bins_by_the_entities_that_occur() {
+        // Ten entities with ten values, but the frame names only two of
+        // them: the column has a small domain there and is gathered as is.
+        let table = DataFrameBuilder::new()
+            .int("k", (0..10).map(Some).collect())
+            .float("v", (0..10).map(|v| Some(v as f64)).collect())
+            .build()
+            .unwrap();
+        let rows = vec![Some(3), None, Some(7), Some(3)];
+        let got = bin_joined(&table, "k", &rows, 4, BinStrategy::EqualFrequency).unwrap();
+        let (column, encoding) = &got[0];
+        assert_eq!(column.dtype(), DType::Float);
+        assert_eq!(column.to_f64(), vec![Some(3.0), None, Some(7.0), Some(3.0)]);
+        assert_eq!(encoding.as_ref(), Some(&column.encode()));
+        // Every entity occurring: ten values into four bins, weighted by
+        // rows, so entity 0 (seven rows) fills the first two quantiles.
+        let mut rows: Vec<Option<usize>> = (0..10).map(Some).collect();
+        rows.extend([Some(0); 6]);
+        let got = bin_joined(&table, "k", &rows, 4, BinStrategy::EqualFrequency).unwrap();
+        let want = bin_column(
+            &table.column("v").unwrap().take_opt(&rows),
+            4,
+            BinStrategy::EqualFrequency,
+        )
+        .unwrap();
+        assert_eq!(got[0].0.dtype(), DType::Int);
+        assert_eq!((got[0].0.clone(), got[0].1.clone()), want);
+        // A row past the table is an error, not a panic.
+        let err = bin_joined(&table, "k", &[Some(10)], 4, BinStrategy::EqualWidth).unwrap_err();
+        assert!(
+            matches!(err, TabularError::RowOutOfBounds { index: 10, len: 10 }),
+            "{err:?}"
+        );
     }
 }

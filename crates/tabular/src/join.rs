@@ -2,11 +2,15 @@
 //!
 //! MESA joins the input table `T` with the table of extracted KG attributes
 //! `E` on the entity column (e.g. `Country`). The extracted table has at most
-//! one row per entity, so the join used throughout is a left equi-join.
+//! one row per entity, so the join used throughout is a left equi-join. Its
+//! preparation calls only [`join_rows`], the matching rule, and bins each
+//! extracted attribute per entity through the resulting row map
+//! ([`crate::bin_joined`]) instead of gathering its values; [`join`] is the
+//! same rule plus the gathers.
 
 use std::collections::HashMap;
 
-use crate::column::Column;
+use crate::column::{Column, EncodedColumn};
 use crate::dataframe::DataFrame;
 use crate::error::Result;
 use crate::value::Value;
@@ -23,23 +27,20 @@ pub enum JoinKind {
 /// Joins `left` and `right` on `left_on = right_on`.
 ///
 /// Right columns whose names collide with a left column are suffixed with
-/// `"_right"` (then `"_right2"`, … — see [`join_rendered`] for the shared
-/// rename rule). When several right rows match a left row, the first match
-/// wins (the extracted-attribute tables MESA builds are keyed by entity, so
-/// duplicates indicate a malformed extraction and are not multiplied out).
+/// `"_right"` (then `"_right2"`, … — see [`join_name`]). When several right
+/// rows match a left row, the first match wins (the extracted-attribute
+/// tables MESA builds are keyed by entity, so duplicates indicate a
+/// malformed extraction and are not multiplied out).
 ///
-/// This is the columnar code-based implementation: both key columns are
-/// dictionary-encoded once, key matching happens per *distinct* key label
-/// (one hash probe per distinct left code, then a flat array lookup per row),
-/// and right columns are gathered through typed per-dtype kernels
-/// ([`Column::take_opt`]) that preserve the physical dtype instead of boxing
-/// every cell as a [`Value`]. Keys compare by encoding label, not rendered
-/// string; for string, int, and bool keys the two are identical, while float
-/// keys canonicalise `-0.0` to `0.0` and print without a forced `.0` suffix
-/// (so integral float keys match equal int keys and no longer match the
-/// string `"2.0"`) — the only observable divergences from the reference
-/// join, and only for float-keyed joins, which the MESA pipeline never
-/// performs.
+/// This is [`join_rows`] over the dictionary encodings of both keys, plus
+/// typed per-dtype gathers ([`Column::take_opt`]) that preserve the
+/// physical dtype instead of boxing every cell as a [`Value`]. Keys compare
+/// by encoding label, not rendered string; for string, int, and bool keys
+/// the two are identical, while float keys canonicalise `-0.0` to `0.0` and
+/// print without a forced `.0` suffix (so integral float keys match equal
+/// int keys and no longer match the string `"2.0"`) — the only observable
+/// divergences from the reference join, and only for float-keyed joins,
+/// which the MESA pipeline never performs.
 pub fn join(
     left: &DataFrame,
     right: &DataFrame,
@@ -49,27 +50,49 @@ pub fn join(
 ) -> Result<DataFrame> {
     let left_key = left.column(left_on)?.encode();
     let right_key = right.column(right_on)?.encode();
+    let mut right_rows = join_rows(&left_key, &right_key);
+    let mut out = match kind {
+        JoinKind::Left => left.clone(),
+        JoinKind::Inner => {
+            let left_rows: Vec<usize> = (0..right_rows.len())
+                .filter(|&row| right_rows[row].is_some())
+                .collect();
+            right_rows.retain(Option::is_some);
+            left.take(&left_rows)
+        }
+    };
+    for col in right.columns() {
+        if col.name() == right_on {
+            continue;
+        }
+        let mut gathered = col.take_opt(&right_rows);
+        gathered.rename(join_name(col.name(), |name| out.has_column(name)));
+        out.add_column(gathered)?;
+    }
+    Ok(out)
+}
 
+/// The row map of a left join on two encoded keys: for every row of
+/// `left_key`, the first row of `right_key` with the same label, or `None`
+/// when the left key is null or has no match. Null right keys never match.
+///
+/// Keys match by the labels [`Column::encode`] gives them. Each distinct
+/// left label is probed once; the per-row loop is then an array lookup.
+pub fn join_rows(left_key: &EncodedColumn, right_key: &EncodedColumn) -> Vec<Option<usize>> {
     // First right row per distinct right key. Codes are assigned in order of
     // first appearance, so scanning rows once fills each slot with the first
-    // matching row — the same "first match wins" rule as the reference join.
-    let mut first_right_row: Vec<usize> = vec![usize::MAX; right_key.cardinality()];
+    // matching row.
+    let mut first_right_row: Vec<Option<usize>> = vec![None; right_key.cardinality()];
     for (row, code) in right_key.iter_codes().enumerate() {
         if let Some(code) = code {
-            let slot = &mut first_right_row[code as usize];
-            if *slot == usize::MAX {
-                *slot = row;
-            }
+            first_right_row[code as usize].get_or_insert(row);
         }
     }
-
-    // Match on dictionary codes: resolve each distinct *left* label to its
-    // right row once, then the per-row loop is a plain array lookup.
-    let right_index: HashMap<&str, u32> = right_key
+    let right_index: HashMap<&str, usize> = right_key
         .labels()
         .iter()
         .enumerate()
-        .map(|(code, label)| (label.as_str(), code as u32))
+        .map(|(code, label)| (label.as_str(), code))
         .collect();
     let left_code_to_right_row: Vec<Option<usize>> = left_key
         .labels()
@@ -77,48 +100,13 @@ pub fn join(
         .map(|label| {
             right_index
                 .get(label.as_str())
-                .map(|&code| first_right_row[code as usize])
-                .filter(|&row| row != usize::MAX)
+                .and_then(|&code| first_right_row[code])
         })
         .collect();
-
-    // The row map: for every surviving left row, the right row to gather
-    // (`None` = unmatched, gathers nulls).
-    let mut right_rows: Vec<Option<usize>> = Vec::with_capacity(left_key.len());
-    let mut left_rows: Vec<usize> = Vec::new();
-    let all_left_rows = match kind {
-        JoinKind::Left => {
-            for code in left_key.iter_codes() {
-                right_rows.push(code.and_then(|c| left_code_to_right_row[c as usize]));
-            }
-            true
-        }
-        JoinKind::Inner => {
-            for (row, code) in left_key.iter_codes().enumerate() {
-                if let Some(r) = code.and_then(|c| left_code_to_right_row[c as usize]) {
-                    left_rows.push(row);
-                    right_rows.push(Some(r));
-                }
-            }
-            false
-        }
-    };
-
-    let mut out = if all_left_rows {
-        left.clone()
-    } else {
-        left.take(&left_rows)
-    };
-    for col in right.columns() {
-        if col.name() == right_on {
-            continue;
-        }
-        let name = disambiguate(&out, col.name());
-        let mut gathered = col.take_opt(&right_rows);
-        gathered.rename(name);
-        out.add_column(gathered)?;
-    }
-    Ok(out)
+    left_key
+        .iter_codes()
+        .map(|code| code.and_then(|c| left_code_to_right_row[c as usize]))
+        .collect()
 }
 
 /// The rendered-string reference join: hashes `Value::render()` of every key
@@ -175,7 +163,7 @@ pub fn join_rendered(
         if col.name() == right_on {
             continue;
         }
-        let name = disambiguate(&out, col.name());
+        let name = join_name(col.name(), |name| out.has_column(name));
         let values: Vec<Value> = right_rows
             .iter()
             .map(|r| match r {
@@ -188,16 +176,18 @@ pub fn join_rendered(
     Ok(out)
 }
 
-/// The name a right column takes in the join output: unchanged when free,
-/// otherwise `"<name>_right"`, then `"<name>_right2"`, `"<name>_right3"`, …
-/// until unique — deterministic, never a late `DuplicateColumn` error.
-fn disambiguate(out: &DataFrame, name: &str) -> String {
-    if !out.has_column(name) {
+/// The name a right column takes in a join output whose columns so far
+/// `taken` reports: unchanged when free, otherwise `"<name>_right"`, then
+/// `"<name>_right2"`, `"<name>_right3"`, … until unique — deterministic,
+/// never a late `DuplicateColumn` error. Callers that append a join's
+/// columns themselves (MESA's preparation) name them through this rule.
+pub fn join_name(name: &str, taken: impl Fn(&str) -> bool) -> String {
+    if !taken(name) {
         return name.to_string();
     }
     let mut candidate = format!("{name}_right");
     let mut k = 2usize;
-    while out.has_column(&candidate) {
+    while taken(&candidate) {
         candidate = format!("{name}_right{k}");
         k += 1;
     }
@@ -330,6 +320,21 @@ mod tests {
         assert_eq!(out.get(2, "v").unwrap(), Value::Null);
         let inner = join(&l, &r, "k", "k2", JoinKind::Inner).unwrap();
         assert_eq!(inner.n_rows(), 1);
+    }
+
+    #[test]
+    fn join_rows_maps_every_left_row_to_its_first_match() {
+        let l = left();
+        let r = DataFrameBuilder::new()
+            .cat("entity", vec![None, Some("US"), Some("DE"), Some("US")])
+            .build()
+            .unwrap();
+        let rows = join_rows(
+            &l.column("country").unwrap().encode(),
+            &r.column("entity").unwrap().encode(),
+        );
+        // DE, US (first of two), XX unmatched, null key unmatched.
+        assert_eq!(rows, vec![Some(2), Some(1), None, None]);
     }
 
     #[test]

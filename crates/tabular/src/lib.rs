@@ -47,7 +47,7 @@ pub mod storage;
 pub mod value;
 
 pub use aggregate::AggFn;
-pub use binning::{bin_column, bin_frame_encoded, quantile, BinStrategy};
+pub use binning::{bin_column, bin_frame_encoded, bin_joined, quantile, BinStrategy};
 pub use bitmap::Bitmap;
 pub use column::{Column, ColumnData, EncodedColumn};
 pub use csv::{read_csv, read_csv_str, write_csv, write_csv_str};
@@ -55,7 +55,7 @@ pub use dataframe::{DataFrame, DataFrameBuilder};
 pub use error::{Result, TabularError};
 pub use expr::Predicate;
 pub use groupby::{group_aggregate, group_by, Group};
-pub use join::{join, join_rendered, JoinKind};
+pub use join::{join, join_name, join_rendered, join_rows, JoinKind};
 pub use query::AggregateQuery;
 pub use storage::{
     Access, ColumnView, Encoding, EncodingChoice, PackedInts, Run, RunIter, SealedColumn,

@@ -1,6 +1,6 @@
 //! Permanent tier-1 replay of fuzzer-surfaced and hand-built scenarios.
 //!
-//! Every seed here runs the full differential harness — all six oracle
+//! Every seed here runs the full differential harness — all seven oracle
 //! families over the complete prepare → extract → kernel → MCIMR → session
 //! pipeline. The hand cases pin known-nasty shapes (an all-null column, a
 //! cardinality-1 join key, a 5-hop extraction chain); the fixed seeds pin a
