@@ -9,8 +9,8 @@
 //!   milliseconds, carried in the `median_ms` slot of the shared schema
 //!   (`reps` is 1; the label family makes the unit unambiguous). The sealed
 //!   entry's label records the encoding the heuristic picked (`rle`,
-//!   `bitpacked`, `delta`, or `dense`). `<dataset>/footprint/total/*` sums
-//!   the per-column payloads.
+//!   `delta`, `narrow` — one `u8` or `u16` per row — or `dense`).
+//!   `<dataset>/footprint/total/*` sums the per-column payloads.
 //! * `<dataset>/kernel/<measure>_{dense,sealed}` — wall-clock milliseconds
 //!   for the same estimate computed over a mutable frame encoded afresh
 //!   from the prepared one (plain codes) and over the prepared frame, which
@@ -20,7 +20,9 @@
 //! The committed copy is the paper-scale (`MESA_SCALE=paper`) baseline: it
 //! is the record of the footprint reduction sealing buys on the session's
 //! prepared-query memo, and of the sealed kernel paths holding the dense
-//! paths' throughput.
+//! paths' throughput. Sealing trades compression for fold speed: every
+//! layout is byte-aligned, so the sealed folds read slices or runs and
+//! never unpack bits.
 
 use bench::report::BenchReport;
 use bench::{prepare_workload, ExperimentData, Scale};

@@ -35,7 +35,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use tabular::{Access, Bitmap, ColumnView, EncodedColumn, PackedInts, Run, RunIter, TabularError};
+use tabular::{Access, Bitmap, Codes, ColumnView, EncodedColumn, Run, RunIter, TabularError};
 
 /// A deterministic FxHash-style hasher: multiply-xor folding with fixed
 /// constants and no per-process seed. Quality is more than sufficient for
@@ -234,12 +234,13 @@ fn validate(
 ///   each segment is the intersection of the participating runs, the run
 ///   columns' contribution to the joint index is hoisted out of the row
 ///   loop, per-segment validity comes from the word-level range iterators of
-///   the complete-case mask, and an all-run unweighted segment collapses to
-///   a single `+= count_set_range(..)`;
+///   the complete-case mask, the other columns are read in place from their
+///   code slices, and an all-run unweighted segment collapses to a single
+///   `+= count_set_range(..)`;
 /// * otherwise → **64-row blocks** aligned to the mask words: all-null
-///   words are skipped wholesale, plain and sealed-dense columns are read as
-///   slices, and each bit-packed column unpacks one block sequentially
-///   instead of paying the random-access shift per row.
+///   words are skipped wholesale, and each column — plain, sealed-dense or
+///   sealed-narrow — adds its block of `u32`, `u16` or `u8` codes to the
+///   rows' joint indices in one loop, generic over the code width.
 ///
 /// Both folds visit surviving rows in ascending row order and perform the
 /// identical floating-point operations per row as [`reference_accumulate`]
@@ -255,13 +256,32 @@ pub fn accumulate(
     parallel::fault_point!("infotheory.kernel.accumulate");
     let mask = complete_case_mask(columns, n);
     let cells = dense_cell_count(columns, dense_cells);
-    let any_runs = columns
-        .iter()
-        .any(|c| matches!(c.access(), Access::Runs(_)));
-    let (counts, total, complete_cases) = if any_runs {
-        fold_segments(columns, weights, &mask, cells, n)
+    let radices: Vec<usize> = columns.iter().map(|c| c.cardinality().max(1)).collect();
+    let mults = dense_mults(&radices, cells.is_some());
+    let mut run_cols: Vec<RunCol<'_>> = Vec::new();
+    let mut row_cols: Vec<RowCol<'_>> = Vec::new();
+    for ((dim, c), &mult) in columns.iter().enumerate().zip(&mults) {
+        match c.access() {
+            Access::Runs(mut iter) => {
+                let cur = iter.next().unwrap_or(Run {
+                    value: 0,
+                    start: 0,
+                    end: n,
+                });
+                run_cols.push(RunCol {
+                    iter,
+                    cur,
+                    dim,
+                    mult,
+                });
+            }
+            Access::Codes(codes) => row_cols.push(RowCol { codes, dim, mult }),
+        }
+    }
+    let (counts, total, complete_cases) = if run_cols.is_empty() {
+        fold_blocks(&row_cols, weights, &mask, cells, radices, n)
     } else {
-        fold_blocks(columns, weights, &mask, cells, n)
+        fold_segments(run_cols, &row_cols, weights, &mask, cells, radices, n)
     };
     Ok(Accumulated {
         counts,
@@ -351,65 +371,23 @@ struct RunCol<'a> {
     mult: usize,
 }
 
-/// A column read row-at-a-time in the segment fold.
+/// A column read row-at-a-time from its code slice, in either fold.
 struct RowCol<'a> {
-    codes: &'a [u32],
+    codes: Codes<'a>,
     dim: usize,
     mult: usize,
 }
 
 /// Run-aligned segment co-iteration over at least one RLE/delta column.
 fn fold_segments(
-    columns: &[ColumnView<'_>],
+    mut run_cols: Vec<RunCol<'_>>,
+    row_cols: &[RowCol<'_>],
     weights: Option<&[f64]>,
     mask: &Bitmap,
     cells: Option<usize>,
+    radices: Vec<usize>,
     n: usize,
 ) -> (JointCounts, f64, usize) {
-    let radices: Vec<usize> = columns.iter().map(|c| c.cardinality().max(1)).collect();
-    let mults = dense_mults(&radices, cells.is_some());
-    // Bit-packed columns in the mixed run×packed case are decoded once up
-    // front; the co-iteration then reads them as plain slices.
-    let decoded: Vec<Option<Vec<u32>>> = columns
-        .iter()
-        .map(|c| match c.access() {
-            Access::Packed(p) => {
-                let mut out = vec![0u32; p.len()];
-                p.unpack_range(0, &mut out);
-                Some(out)
-            }
-            _ => None,
-        })
-        .collect();
-    let mut run_cols: Vec<RunCol<'_>> = Vec::new();
-    let mut row_cols: Vec<RowCol<'_>> = Vec::new();
-    for (dim, c) in columns.iter().enumerate() {
-        let mult = mults[dim];
-        match c.access() {
-            Access::Runs(mut iter) => {
-                let cur = iter.next().unwrap_or(Run {
-                    value: 0,
-                    start: 0,
-                    end: n,
-                });
-                run_cols.push(RunCol {
-                    iter,
-                    cur,
-                    dim,
-                    mult,
-                });
-            }
-            Access::Codes(codes) => row_cols.push(RowCol { codes, dim, mult }),
-            Access::Packed(_) => row_cols.push(RowCol {
-                codes: decoded[dim]
-                    .as_deref()
-                    // mesa-lint: allow(serving-panic-free) -- Some for every Packed column by the decode loop above; silently skipping would corrupt joint counts
-                    .expect("packed columns decoded above"),
-                dim,
-                mult,
-            }),
-        }
-    }
     let mut total = 0.0f64;
     let mut complete_cases = 0usize;
     let counts = match cells {
@@ -455,8 +433,8 @@ fn fold_segments(
                             continue;
                         }
                         let mut idx = base;
-                        for rc in &row_cols {
-                            idx += rc.codes[row] as usize * rc.mult;
+                        for rc in row_cols {
+                            idx += rc.codes.get(row) as usize * rc.mult;
                         }
                         counts[idx] += w;
                         total += w;
@@ -476,7 +454,7 @@ fn fold_segments(
         }
         None => {
             let mut counts = SparseCounts::default();
-            let mut key: Vec<u32> = vec![0; columns.len()];
+            let mut key: Vec<u32> = vec![0; run_cols.len() + row_cols.len()];
             let mut pos = 0usize;
             // mesa-lint: hot-loop -- run-aligned segment walk; polls the cooperative deadline once per segment
             while pos < n {
@@ -502,8 +480,8 @@ fn fold_segments(
                         if w == 0.0 {
                             continue;
                         }
-                        for rc in &row_cols {
-                            key[rc.dim] = rc.codes[row];
+                        for rc in row_cols {
+                            key[rc.dim] = rc.codes.get(row);
                         }
                         *counts.entry(key.clone()).or_insert(0.0) += w;
                         total += w;
@@ -525,53 +503,32 @@ fn fold_segments(
     (counts, total, complete_cases)
 }
 
-/// A column as read in the 64-row block fold.
-enum BlockCol<'a> {
-    /// Direct slice access (mutable or sealed-dense columns).
-    Slice {
-        codes: &'a [u32],
-        dim: usize,
-        mult: usize,
-    },
-    /// Bit-packed access through a per-block scratch decode.
-    Packed {
-        ints: &'a PackedInts,
-        scratch: usize,
-        dim: usize,
-        mult: usize,
-    },
+/// Adds `code · mult` to the joint index of each row of one block, where
+/// `idxs` covers the block's rows from `start` on: the one loop, generic
+/// over the code width, that every slice column runs per block.
+fn add_block_codes(codes: Codes<'_>, start: usize, mult: usize, idxs: &mut [usize]) {
+    fn add<T: Copy + Into<u32>>(codes: &[T], mult: usize, idxs: &mut [usize]) {
+        for (acc, &c) in idxs.iter_mut().zip(codes) {
+            *acc += Into::<u32>::into(c) as usize * mult;
+        }
+    }
+    let rows = start..start + idxs.len();
+    match codes {
+        Codes::U8(c) => add(&c[rows], mult, idxs),
+        Codes::U16(c) => add(&c[rows], mult, idxs),
+        Codes::U32(c) => add(&c[rows], mult, idxs),
+    }
 }
 
-/// 64-row block fold over plain, bit-packed and sealed-dense columns (no run
-/// columns).
+/// 64-row block fold over slice columns only (no run columns).
 fn fold_blocks(
-    columns: &[ColumnView<'_>],
+    row_cols: &[RowCol<'_>],
     weights: Option<&[f64]>,
     mask: &Bitmap,
     cells: Option<usize>,
+    radices: Vec<usize>,
     n: usize,
 ) -> (JointCounts, f64, usize) {
-    let radices: Vec<usize> = columns.iter().map(|c| c.cardinality().max(1)).collect();
-    let mults = dense_mults(&radices, cells.is_some());
-    let mut readers: Vec<BlockCol<'_>> = Vec::new();
-    let mut n_packed = 0usize;
-    for (dim, c) in columns.iter().enumerate() {
-        let mult = mults[dim];
-        match c.access() {
-            Access::Codes(codes) => readers.push(BlockCol::Slice { codes, dim, mult }),
-            Access::Packed(ints) => {
-                readers.push(BlockCol::Packed {
-                    ints,
-                    scratch: n_packed,
-                    dim,
-                    mult,
-                });
-                n_packed += 1;
-            }
-            Access::Runs(_) => unreachable!("run columns take the segment path"),
-        }
-    }
-    let mut scratch: Vec<[u32; 64]> = vec![[0u32; 64]; n_packed];
     let mut total = 0.0f64;
     let mut complete_cases = 0usize;
     let counts = match cells {
@@ -579,8 +536,8 @@ fn fold_blocks(
             let mut counts = vec![0.0f64; cells];
             // Joint index of every row in the current block, accumulated
             // column-major: one tight multiply-add pass per column keeps the
-            // reader dispatch out of the per-row loop and lets the compiler
-            // vectorise the unpack + mixed-radix packing.
+            // width dispatch out of the per-row loop and lets the compiler
+            // vectorise the mixed-radix packing.
             let mut idxs = [0usize; 64];
             // mesa-lint: hot-loop -- word-at-a-time fold over the mask bitmap; polls the cooperative deadline every 64 words
             for (wi, &word) in mask.words().iter().enumerate() {
@@ -593,18 +550,8 @@ fn fold_blocks(
                 let start = wi << 6;
                 let block_len = (n - start).min(64);
                 idxs[..block_len].fill(0);
-                for r in &readers {
-                    match r {
-                        BlockCol::Slice { codes, mult, .. } => {
-                            let codes = &codes[start..start + block_len];
-                            for (acc, &c) in idxs[..block_len].iter_mut().zip(codes) {
-                                *acc += c as usize * mult;
-                            }
-                        }
-                        BlockCol::Packed { ints, mult, .. } => {
-                            ints.accumulate_range(start, *mult, &mut idxs[..block_len]);
-                        }
-                    }
+                for rc in row_cols {
+                    add_block_codes(rc.codes, start, rc.mult, &mut idxs[..block_len]);
                 }
                 if word == u64::MAX && block_len == 64 && weights.is_none() {
                     // Fully observed block, unit weights: no bit scan needed.
@@ -632,25 +579,13 @@ fn fold_blocks(
         }
         None => {
             let mut counts = SparseCounts::default();
-            let mut key: Vec<u32> = vec![0; columns.len()];
+            let mut key: Vec<u32> = vec![0; row_cols.len()];
             // mesa-lint: hot-loop -- word-at-a-time fold over the mask bitmap; polls the cooperative deadline every 64 words
             for (wi, &word) in mask.words().iter().enumerate() {
                 if wi % 64 == 0 {
                     parallel::checkpoint();
                 }
-                if word == 0 {
-                    continue;
-                }
                 let start = wi << 6;
-                let block_len = (n - start).min(64);
-                for r in &readers {
-                    if let BlockCol::Packed {
-                        ints, scratch: k, ..
-                    } = r
-                    {
-                        ints.unpack_range(start, &mut scratch[*k][..block_len]);
-                    }
-                }
                 let mut bits = word;
                 while bits != 0 {
                     let bit = bits.trailing_zeros() as usize;
@@ -660,13 +595,8 @@ fn fold_blocks(
                     if w == 0.0 {
                         continue;
                     }
-                    for r in &readers {
-                        match r {
-                            BlockCol::Slice { codes, dim, .. } => key[*dim] = codes[row],
-                            BlockCol::Packed {
-                                scratch: k, dim, ..
-                            } => key[*dim] = scratch[*k][bit],
-                        }
+                    for rc in row_cols {
+                        key[rc.dim] = rc.codes.get(row);
                     }
                     *counts.entry(key.clone()).or_insert(0.0) += w;
                     total += w;
@@ -1000,7 +930,8 @@ mod tests {
 
     #[test]
     fn sealed_shuffled_columns_match_oracle() {
-        // Shuffled low-cardinality streams seal to bitpacked: the block path.
+        // Shuffled low-cardinality streams seal to u8 narrow codes: the block
+        // path.
         let x: Vec<Option<&str>> = (0..500)
             .map(|i| {
                 if i % 53 == 0 {
@@ -1020,9 +951,9 @@ mod tests {
     }
 
     #[test]
-    fn mixed_run_and_packed_columns_match_oracle() {
-        // One runny column (RLE) and one shuffled column (bitpacked) in the
-        // same fold exercises the run×dense mixed segment case.
+    fn mixed_run_and_narrow_columns_match_oracle() {
+        // One runny column (RLE) and one shuffled column (narrow) in the
+        // same fold exercises the segment fold's in-place slice reads.
         let runny: Vec<Option<&str>> = (0..400).map(|i| Some(["u", "v"][i / 80 % 2])).collect();
         let shuffled: Vec<Option<&str>> = (0..400)
             .map(|i| Some(["a", "b", "c", "d", "e", "f"][(i * 13) % 6]))

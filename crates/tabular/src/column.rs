@@ -602,14 +602,22 @@ impl EncodedColumn {
             "validity bitmap must have one bit per code slot"
         );
         let card = labels.len() as u32;
-        for (row, code) in codes.iter_mut().enumerate() {
-            if validity.get(row) {
-                assert!(
-                    *code < card,
-                    "code {code} at row {row} exceeds cardinality {card}"
-                );
-            } else {
-                *code = 0;
+        // One validity word per 64 rows: a fully observed block needs only
+        // its largest code checked; any other block is walked bit by bit.
+        for (w, (block, &word)) in codes.chunks_mut(64).zip(validity.words()).enumerate() {
+            if word == u64::MAX && block.iter().fold(0, |m, &c| m.max(c)) < card {
+                continue;
+            }
+            for (bit, code) in block.iter_mut().enumerate() {
+                if word >> bit & 1 == 0 {
+                    *code = 0;
+                } else {
+                    assert!(
+                        *code < card,
+                        "code {code} at row {} exceeds cardinality {card}",
+                        w * 64 + bit
+                    );
+                }
             }
         }
         EncodedColumn {

@@ -58,7 +58,6 @@ pub use groupby::{group_aggregate, group_by, Group};
 pub use join::{join, join_name, join_rendered, join_rows, JoinKind};
 pub use query::AggregateQuery;
 pub use storage::{
-    Access, ColumnView, Encoding, EncodingChoice, PackedInts, Run, RunIter, SealedColumn,
-    SealedView,
+    Access, Codes, ColumnView, Encoding, EncodingChoice, Run, RunIter, SealedColumn,
 };
 pub use value::{parse_token, DType, Value};

@@ -8,32 +8,33 @@
 //! * **Sealed** — [`SealedColumn`]: the same logical content re-encoded into
 //!   the smallest of several physical layouts, chosen per column by
 //!   [`EncodedColumn::seal`]. A sealed column is immutable, usually several
-//!   times smaller, and exposes its codes either as a decoded slice or as a
-//!   [run iterator](RunIter) that downstream kernels can fold without
-//!   decoding.
+//!   times smaller, and exposes its codes through [`Access`]: as a slice of
+//!   `u8`, `u16` or `u32` codes, or as a [run iterator](RunIter). The
+//!   counting kernel folds both without decoding.
 //!
-//! The encodings (mirroring the read-optimised stores this layer is modelled
-//! on — InfluxDB IOx's read buffer, snorkel's sealed shards):
+//! Every layout is one the kernel reads as it is stored; none packs codes
+//! below a byte, so no fold unpacks bits (compress only in forms execution
+//! can run on, as column stores do):
 //!
 //! * [`Encoding::RunLength`] — `(value, cumulative end)` run pairs; wins on
-//!   low-cardinality or sorted/grouped code streams where the average run is
-//!   longer than two rows.
-//! * [`Encoding::Bitpacked`] — fixed-width packed codes
-//!   (`ceil(log2(cardinality))` bits per row); wins on shuffled
-//!   low-cardinality streams where runs are short but 32 bits per code is
+//!   sorted or grouped code streams whose runs are long enough to pay 8
+//!   bytes each.
+//! * [`Encoding::Delta`] — first value plus one `u8` or `u16` delta per row;
+//!   wins on sorted keys with more than 256 codes, where consecutive codes
+//!   are close even though the codes themselves are wide. Only applicable
+//!   to fully observed, non-decreasing code streams.
+//! * [`Encoding::Narrow`] — one byte-aligned code per row: a `u8` when the
+//!   column has at most 256 codes, a `u16` when it has at most 65,536;
+//!   wins on shuffled streams, where runs are short but 32 bits per code is
 //!   overkill.
-//! * [`Encoding::Delta`] — first value plus bit-packed non-negative deltas;
-//!   wins on sorted integer keys, where deltas are tiny even though the
-//!   cardinality (and therefore the bit-packed width) is huge. Only
-//!   applicable to fully observed, non-decreasing code streams.
 //! * [`Encoding::Dense`] — the mutable layout kept verbatim; the fallback
 //!   when nothing else is smaller.
 //!
-//! The selection heuristic is simply "smallest encoded payload", with a
-//! deterministic tie-break preferring run-iterable encodings (they are the
-//! fastest to aggregate); the decision and the byte counts are recorded per
-//! column in [`EncodingChoice`] so compression ratios are measurable, not
-//! anecdotal.
+//! The selection rule is "smallest encoded payload", with a deterministic
+//! tie-break in the order above (RLE, delta, narrow, dense): run-iterable
+//! layouts first, since the kernel folds a whole run at once. The decision
+//! and the byte counts are recorded per column in [`EncodingChoice`] so
+//! compression ratios are measurable, not anecdotal.
 
 use std::borrow::Cow;
 
@@ -48,9 +49,10 @@ pub enum Encoding {
     Dense,
     /// Run-length encoding: `(value, cumulative exclusive end)` pairs.
     RunLength,
-    /// Fixed-width bit-packing of every code.
-    Bitpacked,
-    /// First value plus bit-packed deltas (sorted, fully observed streams).
+    /// One `u8` or `u16` code per row.
+    Narrow,
+    /// First value plus one `u8` or `u16` delta per row (sorted, fully
+    /// observed streams).
     Delta,
 }
 
@@ -60,7 +62,7 @@ impl Encoding {
         match self {
             Encoding::Dense => "dense",
             Encoding::RunLength => "rle",
-            Encoding::Bitpacked => "bitpacked",
+            Encoding::Narrow => "narrow",
             Encoding::Delta => "delta",
         }
     }
@@ -82,153 +84,99 @@ pub struct EncodingChoice {
     pub n_runs: usize,
 }
 
-/// Fixed-width bit-packed unsigned integers: `len` values of `width` bits
-/// each, packed contiguously into little-endian `u64` words (a value may
-/// span two words).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PackedInts {
-    words: Vec<u64>,
-    width: u32,
-    len: usize,
+/// Per-row codes as one slice of `u8`, `u16` or `u32`: a sealed narrow
+/// column's stored width, or the four-byte codes of a dense column.
+#[derive(Debug, Clone, Copy)]
+pub enum Codes<'a> {
+    /// One byte per row (sealed narrow columns of at most 256 codes).
+    U8(&'a [u8]),
+    /// Two bytes per row (sealed narrow columns of at most 65,536 codes).
+    U16(&'a [u16]),
+    /// Four bytes per row (mutable and sealed-dense columns).
+    U32(&'a [u32]),
 }
 
-impl PackedInts {
-    /// Packs `values` at the given width.
-    ///
-    /// # Panics
-    /// Panics if `width` is not in `1..=32` or a value does not fit.
-    pub fn pack(values: &[u32], width: u32) -> PackedInts {
-        assert!((1..=32).contains(&width), "width {width} out of range");
-        let w = width as usize;
-        let total_bits = values.len() * w;
-        let mut words = vec![0u64; total_bits.div_ceil(64)];
-        let mut bit = 0usize;
-        for &v in values {
-            assert!(
-                width == 32 || u64::from(v) < (1u64 << width),
-                "value {v} does not fit in {width} bits"
-            );
-            let wi = bit >> 6;
-            let sh = bit & 63;
-            words[wi] |= (v as u64) << sh;
-            if sh + w > 64 {
-                words[wi + 1] |= (v as u64) >> (64 - sh);
-            }
-            bit += w;
-        }
-        PackedInts {
-            words,
-            width,
-            len: values.len(),
+impl Codes<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Codes::U8(c) => c.len(),
+            Codes::U16(c) => c.len(),
+            Codes::U32(c) => c.len(),
         }
     }
 
-    /// Number of packed values.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no values are packed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Bits per value.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    #[inline]
-    fn mask(&self) -> u32 {
-        if self.width == 32 {
-            u32::MAX
-        } else {
-            (1u32 << self.width) - 1
-        }
-    }
-
-    /// The value at index `i`.
+    /// The code of row `i`, widened to `u32`.
     ///
     /// # Panics
     /// Panics if `i >= len`.
     #[inline]
     pub fn get(&self, i: usize) -> u32 {
-        assert!(i < self.len, "index {i} out of range ({})", self.len);
-        let w = self.width as usize;
-        let bit = i * w;
-        let wi = bit >> 6;
-        let sh = bit & 63;
-        let mut v = self.words[wi] >> sh;
-        if sh + w > 64 {
-            v |= self.words[wi + 1] << (64 - sh);
-        }
-        (v as u32) & self.mask()
-    }
-
-    /// Decodes `out.len()` consecutive values starting at `start` into `out`.
-    /// Sequential decode walks the bit offset incrementally, which is what
-    /// the counting kernel uses to unpack 64-row blocks.
-    ///
-    /// # Panics
-    /// Panics if `start + out.len() > len`.
-    pub fn unpack_range(&self, start: usize, out: &mut [u32]) {
-        assert!(
-            start + out.len() <= self.len,
-            "range {start}..{} out of range ({})",
-            start + out.len(),
-            self.len
-        );
-        let w = self.width as usize;
-        let mask = self.mask();
-        let mut bit = start * w;
-        for o in out.iter_mut() {
-            let wi = bit >> 6;
-            let sh = bit & 63;
-            let mut v = self.words[wi] >> sh;
-            if sh + w > 64 {
-                v |= self.words[wi + 1] << (64 - sh);
-            }
-            *o = (v as u32) & mask;
-            bit += w;
+        match self {
+            Codes::U8(c) => u32::from(c[i]),
+            Codes::U16(c) => u32::from(c[i]),
+            Codes::U32(c) => c[i],
         }
     }
 
-    /// Fused decode + mixed-radix accumulate: adds `value * mult` of the
-    /// `acc.len()` packed values starting at `start` into `acc`, element by
-    /// element. Equivalent to [`unpack_range`](PackedInts::unpack_range)
-    /// followed by a multiply-add pass, without materialising the decoded
-    /// block — the entropy kernel's joint-index assembly runs one such pass
-    /// per packed column.
-    pub fn accumulate_range(&self, start: usize, mult: usize, acc: &mut [usize]) {
-        assert!(
-            start + acc.len() <= self.len,
-            "range {start}..{} out of range ({})",
-            start + acc.len(),
-            self.len
-        );
-        let w = self.width as usize;
-        let mask = self.mask();
-        let mut bit = start * w;
-        for a in acc.iter_mut() {
-            let wi = bit >> 6;
-            let sh = bit & 63;
-            let mut v = self.words[wi] >> sh;
-            if sh + w > 64 {
-                v |= self.words[wi + 1] << (64 - sh);
-            }
-            *a += ((v as u32) & mask) as usize * mult;
-            bit += w;
+    /// The first row at or after `from` whose code is not `value` (`len`
+    /// when there is none).
+    fn end_of_run(&self, from: usize, value: u32) -> usize {
+        fn scan<T: Copy + Into<u32>>(codes: &[T], from: usize, value: u32) -> usize {
+            codes[from..]
+                .iter()
+                .position(|&c| c.into() != value)
+                .map_or(codes.len(), |p| from + p)
+        }
+        match self {
+            Codes::U8(c) => scan(c, from, value),
+            Codes::U16(c) => scan(c, from, value),
+            Codes::U32(c) => scan(c, from, value),
+        }
+    }
+}
+
+/// Bytes per value of the narrowest layout that holds values up to `max`:
+/// 1 or 2, or `None` when `max` needs more than 16 bits.
+fn narrow_width(max: u32) -> Option<usize> {
+    if max <= u32::from(u8::MAX) {
+        Some(1)
+    } else if max <= u32::from(u16::MAX) {
+        Some(2)
+    } else {
+        None
+    }
+}
+
+/// Owned byte-aligned values: the payload of narrow and delta columns.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum NarrowInts {
+    U8(Vec<u8>),
+    U16(Vec<u16>),
+}
+
+impl NarrowInts {
+    /// Stores `values`, none above `max`, one per byte when `max` fits a
+    /// byte and in two bytes otherwise. The sealer only calls it when
+    /// [`narrow_width`] of `max` is `Some`.
+    fn pack(values: impl Iterator<Item = u32>, max: u32) -> NarrowInts {
+        // The casts are exact: no value exceeds `max`, which fits the type.
+        if max <= u32::from(u8::MAX) {
+            NarrowInts::U8(values.map(|v| v as u8).collect())
+        } else {
+            assert!(max <= u32::from(u16::MAX), "{max} needs more than 16 bits");
+            NarrowInts::U16(values.map(|v| v as u16).collect())
         }
     }
 
-    /// Iterates all values in order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.len).map(move |i| self.get(i))
+    fn len(&self) -> usize {
+        self.codes().len()
     }
 
-    /// Bytes of the backing word vector.
-    pub fn payload_bytes(&self) -> usize {
-        self.words.len() * 8
+    fn codes(&self) -> Codes<'_> {
+        match self {
+            NarrowInts::U8(v) => Codes::U8(v),
+            NarrowInts::U16(v) => Codes::U16(v),
+        }
     }
 }
 
@@ -240,11 +188,11 @@ enum SealedCodes {
     /// Run-length pairs: `values[k]` repeats over rows
     /// `ends[k-1]..ends[k]` (with `ends[-1]` = 0).
     Rle { values: Vec<u32>, ends: Vec<u32> },
-    /// Fixed-width packed codes.
-    Bitpacked(PackedInts),
-    /// `first` plus packed `deltas`, where `deltas[i]` (for `i >= 1`) is
-    /// `code[i] - code[i-1]` and `deltas[0]` is 0.
-    Delta { first: u32, deltas: PackedInts },
+    /// One byte-aligned code per row.
+    Narrow(NarrowInts),
+    /// `first` plus byte-aligned `deltas`, where `deltas[i]` (for `i >= 1`)
+    /// is `code[i] - code[i-1]` and `deltas[0]` is 0.
+    Delta { first: u32, deltas: NarrowInts },
 }
 
 /// One maximal run of equal codes: `value` over rows `start..end`.
@@ -260,7 +208,7 @@ pub struct Run {
 
 enum RunIterInner<'a> {
     Slice {
-        codes: &'a [u32],
+        codes: Codes<'a>,
         pos: usize,
     },
     Rle {
@@ -268,12 +216,8 @@ enum RunIterInner<'a> {
         ends: &'a [u32],
         idx: usize,
     },
-    Packed {
-        packed: &'a PackedInts,
-        pos: usize,
-    },
     Delta {
-        deltas: &'a PackedInts,
+        deltas: Codes<'a>,
         value: u32,
         pos: usize,
     },
@@ -296,16 +240,12 @@ impl Iterator for RunIter<'_> {
                     return None;
                 }
                 let start = *pos;
-                let value = codes[start];
-                let mut p = start + 1;
-                while p < codes.len() && codes[p] == value {
-                    p += 1;
-                }
-                *pos = p;
+                let value = codes.get(start);
+                *pos = codes.end_of_run(start + 1, value);
                 Some(Run {
                     value,
                     start,
-                    end: p,
+                    end: *pos,
                 })
             }
             RunIterInner::Rle { values, ends, idx } => {
@@ -325,68 +265,33 @@ impl Iterator for RunIter<'_> {
                 *idx += 1;
                 Some(run)
             }
-            RunIterInner::Packed { packed, pos } => {
-                if *pos >= packed.len() {
-                    return None;
-                }
-                let start = *pos;
-                let value = packed.get(start);
-                let mut p = start + 1;
-                while p < packed.len() && packed.get(p) == value {
-                    p += 1;
-                }
-                *pos = p;
-                Some(Run {
-                    value,
-                    start,
-                    end: p,
-                })
-            }
             RunIterInner::Delta { deltas, value, pos } => {
                 if *pos >= deltas.len() {
                     return None;
                 }
                 let start = *pos;
                 let v = *value;
-                let mut p = start + 1;
-                while p < deltas.len() {
-                    let d = deltas.get(p);
-                    if d != 0 {
-                        *value = v.wrapping_add(d);
-                        break;
-                    }
-                    p += 1;
+                // The run ends at the next non-zero delta.
+                *pos = deltas.end_of_run(start + 1, 0);
+                if *pos < deltas.len() {
+                    *value = v.wrapping_add(deltas.get(*pos));
                 }
-                *pos = p;
                 Some(Run {
                     value: v,
                     start,
-                    end: p,
+                    end: *pos,
                 })
             }
         }
     }
 }
 
-/// What a sealed column exposes to a consumer: either the codes as a decoded
-/// slice (zero-copy, when the column sealed to the dense layout) or a run
-/// iterator over the compressed stream.
-pub enum SealedView<'a> {
-    /// Direct access to per-row codes.
-    Slice(&'a [u32]),
-    /// Run-at-a-time access to the compressed stream.
-    Runs(RunIter<'a>),
-}
-
 /// How the counting kernel reads a column: the access path that is free for
 /// the column's physical layout.
 pub enum Access<'a> {
     /// Per-row codes are available as a slice (mutable columns and sealed
-    /// dense columns).
-    Codes(&'a [u32]),
-    /// Per-row codes are available by fixed-width unpacking (sealed
-    /// bit-packed columns).
-    Packed(&'a PackedInts),
+    /// dense and narrow columns).
+    Codes(Codes<'a>),
     /// The column is cheapest to read run-at-a-time (sealed RLE and delta
     /// columns).
     Runs(RunIter<'a>),
@@ -405,11 +310,6 @@ pub struct SealedColumn {
     choice: EncodingChoice,
 }
 
-/// Bits needed to represent `v` (at least 1).
-fn bits_for(v: u32) -> u32 {
-    (32 - v.leading_zeros()).max(1)
-}
-
 impl EncodedColumn {
     /// Seals the column: re-encodes the codes into the smallest applicable
     /// physical layout and freezes the result. See the [module
@@ -421,43 +321,41 @@ impl EncodedColumn {
     pub fn seal(&self) -> SealedColumn {
         let codes = self.codes();
         let n = codes.len();
-        let card = self.cardinality() as u32;
+        let max_code = u32::try_from(self.cardinality().saturating_sub(1)).unwrap_or(u32::MAX);
 
-        // One pass over the stream for the run count (the RLE cost driver).
-        let mut n_runs = 0usize;
-        let mut prev: Option<u32> = None;
-        for &c in codes {
-            if prev != Some(c) {
-                n_runs += 1;
-                prev = Some(c);
-            }
+        // One pass over adjacent pairs: the run count (the RLE cost driver),
+        // and whether the stream is sorted with its largest step (the delta
+        // cost driver; the step is garbage unless the stream is sorted).
+        let mut n_runs = usize::from(n > 0);
+        let mut sorted = true;
+        let mut max_delta = 0u32;
+        for w in codes.windows(2) {
+            n_runs += usize::from(w[0] != w[1]);
+            sorted &= w[0] <= w[1];
+            max_delta = max_delta.max(w[1].wrapping_sub(w[0]));
         }
 
         let dense_bytes = 4 * n;
         let rle_bytes = 8 * n_runs;
-        let packed_width = bits_for(card.saturating_sub(1));
-        let packed_bytes = (n * packed_width as usize).div_ceil(64) * 8;
+        let narrow_bytes = narrow_width(max_code).map_or(usize::MAX, |w| n * w);
         // Delta requires a fully observed (word-level `all_set` check),
-        // non-decreasing stream; the payload is the packed deltas plus the
-        // first value.
-        let delta = if n > 0 && self.validity().all_set() && codes.windows(2).all(|w| w[0] <= w[1])
-        {
-            let max_delta = codes.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
-            let width = bits_for(max_delta);
-            Some((width, 4 + (n * width as usize).div_ceil(64) * 8))
+        // non-decreasing stream whose steps fit 16 bits; the payload is the
+        // narrow deltas plus the first value.
+        let delta_bytes = if n > 0 && sorted && self.validity().all_set() {
+            narrow_width(max_delta).map_or(usize::MAX, |w| 4 + n * w)
         } else {
-            None
+            usize::MAX
         };
 
         // Smallest payload wins; ties prefer run-iterable encodings (RLE,
-        // then delta), then bit-packing, with dense as the fallback — the
+        // then delta), then narrow codes, with dense as the fallback — the
         // kernel folds runs fastest, so at equal size the runnier layout is
         // the better pick. The candidate order below is the documented
         // tie-break: the first candidate achieving the minimum is chosen.
         let candidates = [
             (Encoding::RunLength, rle_bytes),
-            (Encoding::Delta, delta.map_or(usize::MAX, |(_, b)| b)),
-            (Encoding::Bitpacked, packed_bytes),
+            (Encoding::Delta, delta_bytes),
+            (Encoding::Narrow, narrow_bytes),
             (Encoding::Dense, dense_bytes),
         ];
         let min_bytes = candidates.iter().map(|&(_, b)| b).min().expect("non-empty");
@@ -487,17 +385,16 @@ impl EncodedColumn {
                 }
                 SealedCodes::Rle { values, ends }
             }
-            Encoding::Bitpacked => SealedCodes::Bitpacked(PackedInts::pack(codes, packed_width)),
-            Encoding::Delta => {
-                let (width, _) = delta.expect("delta only selectable when applicable");
-                let deltas: Vec<u32> = std::iter::once(0)
-                    .chain(codes.windows(2).map(|w| w[1] - w[0]))
-                    .collect();
-                SealedCodes::Delta {
-                    first: codes[0],
-                    deltas: PackedInts::pack(&deltas, width),
-                }
+            Encoding::Narrow => {
+                SealedCodes::Narrow(NarrowInts::pack(codes.iter().copied(), max_code))
             }
+            Encoding::Delta => SealedCodes::Delta {
+                first: codes[0],
+                deltas: NarrowInts::pack(
+                    std::iter::once(0).chain(codes.windows(2).map(|w| w[1] - w[0])),
+                    max_delta,
+                ),
+            },
         };
 
         SealedColumn {
@@ -520,7 +417,7 @@ impl SealedColumn {
         match &self.codes {
             SealedCodes::Dense(v) => v.len(),
             SealedCodes::Rle { ends, .. } => ends.last().map_or(0, |&e| e as usize),
-            SealedCodes::Bitpacked(p) => p.len(),
+            SealedCodes::Narrow(v) => v.len(),
             SealedCodes::Delta { deltas, .. } => deltas.len(),
         }
     }
@@ -589,10 +486,11 @@ impl SealedColumn {
 
     /// The code of row `i`, or `None` when the row is null.
     ///
-    /// Random access costs depend on the layout: O(1) for dense and
-    /// bit-packed, O(log runs) for RLE, O(i) for delta (sequential prefix
-    /// sum) — consumers that walk many rows should use
-    /// [`view`](SealedColumn::view) or [`runs`](SealedColumn::runs) instead.
+    /// Random access costs depend on the layout: O(1) for dense and narrow,
+    /// O(log runs) for RLE, O(i) for delta (sequential prefix sum) —
+    /// consumers that walk many rows should use
+    /// [`access`](SealedColumn::access) or [`runs`](SealedColumn::runs)
+    /// instead.
     ///
     /// # Panics
     /// Panics if `i >= len`.
@@ -611,40 +509,34 @@ impl SealedColumn {
                 let k = ends.partition_point(|&e| e as usize <= i);
                 values[k]
             }
-            SealedCodes::Bitpacked(p) => p.get(i),
+            SealedCodes::Narrow(v) => v.codes().get(i),
             SealedCodes::Delta { first, deltas } => {
-                let mut v = *first;
-                for j in 1..=i {
-                    v = v.wrapping_add(deltas.get(j));
-                }
-                v
+                let deltas = deltas.codes();
+                (1..=i).fold(*first, |v, j| v.wrapping_add(deltas.get(j)))
             }
         }
     }
 
-    /// The sealed view: a decoded slice for dense columns, a run iterator
-    /// for every compressed layout.
-    pub fn view(&self) -> SealedView<'_> {
-        match &self.codes {
-            SealedCodes::Dense(v) => SealedView::Slice(v),
-            _ => SealedView::Runs(self.runs()),
-        }
-    }
-
     /// Iterates the maximal equal-code runs of the column, in row order.
-    /// Available for every layout (dense and bit-packed columns group equal
+    /// Available for every layout (dense and narrow columns group equal
     /// adjacent codes on the fly; RLE and delta read their stored runs).
     pub fn runs(&self) -> RunIter<'_> {
         let inner = match &self.codes {
-            SealedCodes::Dense(v) => RunIterInner::Slice { codes: v, pos: 0 },
+            SealedCodes::Dense(v) => RunIterInner::Slice {
+                codes: Codes::U32(v),
+                pos: 0,
+            },
             SealedCodes::Rle { values, ends } => RunIterInner::Rle {
                 values,
                 ends,
                 idx: 0,
             },
-            SealedCodes::Bitpacked(p) => RunIterInner::Packed { packed: p, pos: 0 },
+            SealedCodes::Narrow(v) => RunIterInner::Slice {
+                codes: v.codes(),
+                pos: 0,
+            },
             SealedCodes::Delta { first, deltas } => RunIterInner::Delta {
-                deltas,
+                deltas: deltas.codes(),
                 value: *first,
                 pos: 0,
             },
@@ -655,8 +547,8 @@ impl SealedColumn {
     /// How the counting kernel should read this column (see [`Access`]).
     pub fn access(&self) -> Access<'_> {
         match &self.codes {
-            SealedCodes::Dense(v) => Access::Codes(v),
-            SealedCodes::Bitpacked(p) => Access::Packed(p),
+            SealedCodes::Dense(v) => Access::Codes(Codes::U32(v)),
+            SealedCodes::Narrow(v) => Access::Codes(v.codes()),
             SealedCodes::Rle { .. } | SealedCodes::Delta { .. } => Access::Runs(self.runs()),
         }
     }
@@ -668,29 +560,23 @@ impl SealedColumn {
             SealedCodes::Dense(v) => v.clone(),
             SealedCodes::Rle { values, ends } => {
                 let mut out = Vec::with_capacity(self.len());
-                let mut start = 0usize;
                 for (&v, &e) in values.iter().zip(ends) {
                     out.resize(e as usize, v);
-                    start = e as usize;
                 }
-                debug_assert_eq!(start, out.len());
                 out
             }
-            SealedCodes::Bitpacked(p) => {
-                let mut out = vec![0u32; p.len()];
-                p.unpack_range(0, &mut out);
-                out
-            }
+            SealedCodes::Narrow(NarrowInts::U8(v)) => v.iter().map(|&c| u32::from(c)).collect(),
+            SealedCodes::Narrow(NarrowInts::U16(v)) => v.iter().map(|&c| u32::from(c)).collect(),
             SealedCodes::Delta { first, deltas } => {
-                let mut out = Vec::with_capacity(deltas.len());
+                // `deltas[0]` is 0, so the running sum starts at `first`.
+                let deltas = deltas.codes();
                 let mut v = *first;
-                for i in 0..deltas.len() {
-                    if i > 0 {
+                (0..deltas.len())
+                    .map(|i| {
                         v = v.wrapping_add(deltas.get(i));
-                    }
-                    out.push(v);
-                }
-                out
+                        v
+                    })
+                    .collect()
             }
         }
     }
@@ -821,7 +707,8 @@ impl<'a> ColumnView<'a> {
     }
 
     /// The per-row codes: zero-copy for mutable and sealed-dense columns, a
-    /// one-shot decode for compressed layouts. Null slots hold 0.
+    /// one-shot decode (narrow codes widened) for every other layout. Null
+    /// slots hold 0.
     pub fn codes(&self) -> Cow<'a, [u32]> {
         match self {
             ColumnView::Plain(c) => Cow::Borrowed(c.codes()),
@@ -838,7 +725,7 @@ impl<'a> ColumnView<'a> {
         match self {
             ColumnView::Plain(c) => RunIter {
                 inner: RunIterInner::Slice {
-                    codes: c.codes(),
+                    codes: Codes::U32(c.codes()),
                     pos: 0,
                 },
             },
@@ -849,7 +736,7 @@ impl<'a> ColumnView<'a> {
     /// How the counting kernel should read this column (see [`Access`]).
     pub fn access(&self) -> Access<'a> {
         match self {
-            ColumnView::Plain(c) => Access::Codes(c.codes()),
+            ColumnView::Plain(c) => Access::Codes(Codes::U32(c.codes())),
             ColumnView::Sealed(c) => c.access(),
         }
     }
@@ -862,34 +749,6 @@ mod tests {
 
     fn enc(vals: &[Option<&str>]) -> EncodedColumn {
         Column::from_str_values("c", vals.to_vec()).encode()
-    }
-
-    #[test]
-    fn packed_ints_round_trip_all_widths() {
-        for width in 1..=32u32 {
-            let max = if width == 32 {
-                u32::MAX
-            } else {
-                (1u32 << width) - 1
-            };
-            let values: Vec<u32> = (0..150u32)
-                .map(|i| i.wrapping_mul(2654435761).wrapping_add(i) & max)
-                .collect();
-            let p = PackedInts::pack(&values, width);
-            assert_eq!(p.len(), values.len());
-            assert_eq!(p.width(), width);
-            let back: Vec<u32> = p.iter().collect();
-            assert_eq!(back, values, "width {width}");
-            let mut out = vec![0u32; 40];
-            p.unpack_range(37, &mut out);
-            assert_eq!(out, values[37..77], "unpack_range width {width}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "does not fit")]
-    fn packed_ints_reject_oversize_value() {
-        PackedInts::pack(&[4], 2);
     }
 
     #[test]
@@ -913,56 +772,70 @@ mod tests {
     }
 
     #[test]
-    fn seal_shuffled_low_cardinality_is_bitpacked() {
+    fn seal_shuffled_low_cardinality_is_narrow() {
         let vals: Vec<Option<String>> = (0..1000)
             .map(|i| Some(format!("v{}", (i * 7) % 6)))
             .collect();
         let c = Column::from_str_values("c", vals.iter().map(|v| v.as_deref()).collect()).encode();
         let s = c.seal();
-        assert_eq!(s.encoding(), Encoding::Bitpacked);
-        // 6 distinct values -> 3 bits per code
-        assert_eq!(s.choice().sealed_bytes, (1000 * 3usize).div_ceil(64) * 8);
-        assert!(s.choice().sealed_bytes * 2 < s.choice().dense_bytes);
+        assert_eq!(s.encoding(), Encoding::Narrow);
+        // 6 distinct values -> one byte per code, a quarter of dense
+        assert_eq!(s.choice().sealed_bytes, 1000);
+        assert_eq!(s.choice().sealed_bytes * 4, s.choice().dense_bytes);
+        assert!(matches!(s.access(), Access::Codes(Codes::U8(_))));
         assert_eq!(s.decode(), c);
     }
 
     #[test]
     fn seal_sorted_keys_is_delta() {
-        // A sorted high-cardinality integer key: every code distinct, so
-        // bitpacking needs 10 bits but deltas need 1.
+        // A sorted integer key with 1000 distinct codes: narrow codes need
+        // two bytes per row, deltas one.
         let codes: Vec<u32> = (0..1000).collect();
         let labels: Vec<String> = codes.iter().map(|c| c.to_string()).collect();
         let c = EncodedColumn::from_codes(codes, labels);
         let s = c.seal();
         assert_eq!(s.encoding(), Encoding::Delta);
+        assert_eq!(s.choice().sealed_bytes, 4 + 1000);
         assert_eq!(s.decode(), c);
         assert_eq!(s.runs().count(), 1000);
         assert_eq!(s.code_at(423), Some(423));
     }
 
     #[test]
-    fn seal_tiny_column_stays_dense() {
-        // A single-row column: 4 dense bytes beat every alternative (RLE and
-        // bitpacking both pay a full 8-byte word, delta pays 12), so the
-        // dense fallback is the minimum.
-        let c = enc(&[Some("only")]);
+    fn seal_wide_shuffled_column_stays_dense() {
+        // 65,537 distinct codes in shuffled order: narrow codes cannot hold
+        // them, delta needs a sorted stream and RLE pays 8 bytes per row, so
+        // the dense fallback is the minimum.
+        const N: u32 = 65_537;
+        let codes: Vec<u32> = (0..N).map(|i| (i * 7919) % N).collect();
+        let labels: Vec<String> = (0..N).map(|c| c.to_string()).collect();
+        let c = EncodedColumn::from_codes(codes, labels);
         let s = c.seal();
         assert_eq!(s.encoding(), Encoding::Dense);
-        assert_eq!(s.choice().dense_bytes, 4);
-        assert_eq!(s.choice().sealed_bytes, 4);
+        assert_eq!(s.choice().dense_bytes, 4 * N as usize);
+        assert_eq!(s.choice().sealed_bytes, 4 * N as usize);
+        assert!(matches!(s.access(), Access::Codes(Codes::U32(_))));
         assert_eq!(s.decode(), c);
-        assert!(matches!(s.view(), SealedView::Slice(_)));
     }
 
     #[test]
     fn tie_break_prefers_run_iterable() {
-        // Two rows, one value: RLE (one 8-byte run) ties dense (8 bytes);
-        // the documented tie-break picks the run-iterable layout.
-        let c = enc(&[Some("x"), Some("x")]);
+        // Two runs of eight rows: RLE (two 8-byte runs) ties one byte per
+        // row of narrow codes; the documented tie-break picks the
+        // run-iterable layout.
+        let vals: Vec<Option<&str>> = (0..16).map(|i| Some(["x", "y"][i / 8])).collect();
+        let c = enc(&vals);
         let s = c.seal();
-        assert_eq!(s.choice().dense_bytes, 8);
-        assert_eq!(s.choice().sealed_bytes, 8);
+        assert_eq!(s.choice().sealed_bytes, 16);
         assert_eq!(s.encoding(), Encoding::RunLength);
+        assert_eq!(s.decode(), c);
+        // Four sorted codes out of 300: delta (4 + one byte per row) ties
+        // two bytes per row of narrow codes, and delta comes first.
+        let labels: Vec<String> = (0..300).map(|c| c.to_string()).collect();
+        let c = EncodedColumn::from_codes(vec![0, 1, 2, 3], labels);
+        let s = c.seal();
+        assert_eq!(s.choice().sealed_bytes, 8);
+        assert_eq!(s.encoding(), Encoding::Delta);
         assert_eq!(s.decode(), c);
     }
 
@@ -1013,12 +886,23 @@ mod tests {
     }
 
     #[test]
-    fn view_exposes_slice_or_runs() {
-        let dense = enc(&[Some("only")]).seal();
-        assert!(matches!(dense.view(), SealedView::Slice(_)));
+    fn access_exposes_slices_or_runs() {
+        let narrow = enc(&[Some("a"), Some("b"), Some("a")]).seal();
+        assert!(matches!(narrow.access(), Access::Codes(Codes::U8(_))));
+        let labels: Vec<String> = (0..257).map(|c| c.to_string()).collect();
+        let wide = EncodedColumn::from_codes(vec![256, 0, 256], labels).seal();
+        match wide.access() {
+            Access::Codes(Codes::U16(codes)) => assert_eq!(codes, [256, 0, 256]),
+            _ => panic!("257 codes must seal to u16 narrow codes"),
+        }
+        let plain = enc(&[Some("a")]);
+        assert!(matches!(
+            ColumnView::from(&plain).access(),
+            Access::Codes(Codes::U32(_))
+        ));
         let rle = enc(&[Some("a"); 100]).seal();
-        match rle.view() {
-            SealedView::Runs(mut runs) => {
+        match rle.access() {
+            Access::Runs(mut runs) => {
                 assert_eq!(
                     runs.next(),
                     Some(Run {
@@ -1029,7 +913,7 @@ mod tests {
                 );
                 assert_eq!(runs.next(), None);
             }
-            SealedView::Slice(_) => panic!("RLE column must expose runs"),
+            Access::Codes(_) => panic!("RLE column must expose runs"),
         }
     }
 
@@ -1063,7 +947,7 @@ mod tests {
     fn encoding_names_are_stable() {
         assert_eq!(Encoding::Dense.name(), "dense");
         assert_eq!(Encoding::RunLength.name(), "rle");
-        assert_eq!(Encoding::Bitpacked.name(), "bitpacked");
+        assert_eq!(Encoding::Narrow.name(), "narrow");
         assert_eq!(Encoding::Delta.name(), "delta");
     }
 }

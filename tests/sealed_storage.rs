@@ -2,13 +2,14 @@
 //! must reproduce the mutable column exactly for every encoding and null
 //! pattern, and the kernel's production folds must produce **bit-identical**
 //! counts to the row-at-a-time reference fold — on shuffled
-//! (bitpacked-leaning) and adversarially runny (RLE-leaning) inputs alike.
+//! (narrow-leaning) and adversarially runny (RLE-leaning) inputs alike, and
+//! at the boundaries of the narrow code widths.
 
 use proptest::prelude::*;
 
 use mesa_repro::infotheory::kernel::{accumulate, reference_accumulate, Accumulated};
 use mesa_repro::infotheory::{conditional_mutual_information, entropy, mutual_information};
-use mesa_repro::tabular::{ColumnView, EncodedColumn, Encoding};
+use mesa_repro::tabular::{Access, Codes, ColumnView, EncodedColumn, Encoding};
 
 /// Strategy: per-row cells with `0` = missing and `v >= 1` = code `v - 1`
 /// (same convention as `tests/kernel_equivalence.rs`).
@@ -59,10 +60,18 @@ fn assert_seal_round_trip(col: &EncodedColumn) {
 }
 
 /// Asserts that `got` matches the reference fold's `oracle` bit for bit:
-/// tallies, observed cells, total weight and entropy.
+/// tallies, observed cells (keys, counts and iteration order), total weight
+/// and entropy.
 fn assert_bitwise_equal(got: &Accumulated, oracle: &Accumulated) {
     assert_eq!(got.complete_cases, oracle.complete_cases);
     assert_eq!(got.counts.n_cells(), oracle.counts.n_cells());
+    let cells = |a: &Accumulated| -> Vec<(Vec<u32>, u64)> {
+        a.counts
+            .iter_keyed()
+            .map(|(k, c)| (k, c.to_bits()))
+            .collect()
+    };
+    assert_eq!(cells(got), cells(oracle));
     assert_eq!(got.total.to_bits(), oracle.total.to_bits());
     assert_eq!(
         got.counts.entropy(got.total).to_bits(),
@@ -117,7 +126,7 @@ proptest! {
         let col = EncodedColumn::from_codes(ks, labels);
         let sealed = col.seal();
         // Non-decreasing fully observed keys must pick a run-iterable or
-        // packed layout, never fall back to dense (beyond trivial columns).
+        // narrow layout, never fall back to dense (beyond trivial columns).
         if col.len() > 8 {
             prop_assert!(sealed.encoding() != Encoding::Dense);
         }
@@ -227,6 +236,96 @@ proptest! {
         if col.len() >= 64 {
             // six runs over 64+ rows must beat 4 bytes/row handily
             prop_assert!(choice.sealed_bytes * 2 <= choice.dense_bytes);
+        }
+    }
+}
+
+/// A column of `len` rows over `card` codes in shuffled order (the codes of
+/// neighbouring rows differ, the largest code comes first), with every
+/// fifth row null when `nulls` is set.
+fn boundary_column(len: usize, card: u32, nulls: bool) -> EncodedColumn {
+    let labels = (0..card).map(|c| format!("v{c}")).collect();
+    let codes = (0..len as u32).map(|i| {
+        let code = if i % 2 == 0 {
+            card - 1 - (i / 2) % card
+        } else {
+            i.wrapping_mul(7919) % card
+        };
+        (!(nulls && i % 5 == 2)).then_some(code)
+    });
+    EncodedColumn::from_option_codes(codes, labels)
+}
+
+/// The narrow widths switch at 256 codes (`u8` → `u16`) and 65,536 codes
+/// (`u16` → dense). On both sides of each switch, at lengths around one
+/// validity word, with and without nulls: the sealed column round-trips,
+/// picks the expected layout and width, never outgrows the dense payload,
+/// and folds bit-identically to the reference on the block path (beside a
+/// plain column) and the segment path (beside an RLE column, and beside
+/// both), weighted and unweighted, at both table layouts.
+#[test]
+fn narrow_width_boundaries_round_trip_and_fold_like_the_reference() {
+    for card in [256u32, 257, 65_536, 65_537] {
+        for len in [0usize, 1, 63, 64, 65] {
+            for nulls in [false, true] {
+                let case = format!("{card} codes, {len} rows, nulls {nulls}");
+                let col = boundary_column(len, card, nulls);
+                assert_seal_round_trip(&col);
+                let sealed = col.seal();
+                let choice = sealed.choice();
+                assert!(choice.sealed_bytes <= choice.dense_bytes, "{case}");
+                let width = match card {
+                    0..=256 => 1,
+                    257..=65_536 => 2,
+                    _ => 4,
+                };
+                let encoding = match (len, width) {
+                    (0, _) => Encoding::RunLength,
+                    (_, 4) => Encoding::Dense,
+                    _ => Encoding::Narrow,
+                };
+                assert_eq!(sealed.encoding(), encoding, "{case}");
+                if len > 0 {
+                    assert_eq!(choice.sealed_bytes, width * len, "{case}");
+                    let got = match sealed.access() {
+                        Access::Codes(Codes::U8(_)) => 1,
+                        Access::Codes(Codes::U16(_)) => 2,
+                        Access::Codes(Codes::U32(_)) => 4,
+                        Access::Runs(_) => 0,
+                    };
+                    assert_eq!(got, width, "{case}");
+                }
+
+                // A runny column that seals to RLE wherever RLE can win
+                // (one run costs 8 bytes, narrow codes one per row).
+                let runny = to_column(&vec![2; len], 3);
+                let sealed_runny = runny.seal();
+                if len != 1 {
+                    assert_eq!(sealed_runny.encoding(), Encoding::RunLength, "{case}");
+                }
+                let plain = boundary_column(len, 3, !nulls);
+                let weights: Vec<f64> = (0..len).map(|i| (i % 4) as f64 * 0.5).collect();
+                let combos: [(&[&EncodedColumn], Vec<ColumnView<'_>>); 3] = [
+                    (&[&col, &plain], vec![(&sealed).into(), (&plain).into()]),
+                    (
+                        &[&col, &runny],
+                        vec![(&sealed).into(), (&sealed_runny).into()],
+                    ),
+                    (
+                        &[&col, &runny, &plain],
+                        vec![(&sealed).into(), (&sealed_runny).into(), (&plain).into()],
+                    ),
+                ];
+                for (columns, views) in &combos {
+                    for w in [None, Some(weights.as_slice())] {
+                        for dense_cells in [1usize << 20, 0] {
+                            let oracle = reference_accumulate(columns, w, dense_cells).unwrap();
+                            let got = accumulate(views, w, dense_cells).unwrap();
+                            assert_bitwise_equal(&got, &oracle);
+                        }
+                    }
+                }
+            }
         }
     }
 }
