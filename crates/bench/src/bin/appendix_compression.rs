@@ -9,11 +9,11 @@
 //!   milliseconds, carried in the `median_ms` slot of the shared schema
 //!   (`reps` is 1; the label family makes the unit unambiguous). The sealed
 //!   entry's label records the encoding the heuristic picked (`rle`,
-//!   `delta`, `narrow` — one `u8` or `u16` per row — or `dense`).
+//!   `narrow` — one `u8` or `u16` per row — or `dense`).
 //!   `<dataset>/footprint/total/*` sums the per-column payloads.
 //! * `<dataset>/kernel/<measure>_{dense,sealed}` — wall-clock milliseconds
-//!   for the same estimate computed over a mutable frame encoded afresh
-//!   from the prepared one (plain codes) and over the prepared frame, which
+//!   for the same estimate computed over an unsealed frame encoded afresh
+//!   from the prepared one (dense codes) and over the prepared frame, which
 //!   preparation seals (run-aware fold). The two are bit-identical in value;
 //!   only the storage the kernel reads differs.
 //!
@@ -43,8 +43,8 @@ fn main() {
         };
         let name = dataset.name();
         let prepared = prepare_workload(&data, wq).expect("prepare");
-        let mutable = EncodedFrame::from_frame(&prepared.frame);
-        assert!(!mutable.is_sealed(), "the dense frame must stay unsealed");
+        let unsealed = EncodedFrame::from_frame(&prepared.frame);
+        assert!(!unsealed.is_sealed(), "the dense frame must stay unsealed");
         let sealed = &prepared.encoded;
         let rows = sealed.n_rows();
 
@@ -78,7 +78,7 @@ fn main() {
         let ratio = dense_total as f64 / (sealed_total.max(1)) as f64;
 
         // Kernel timings: the paper's measures over the same frame in both
-        // lifecycle states. Values are bit-identical; only storage differs.
+        // layouts. Values are bit-identical; only storage differs.
         let o = prepared.outcome();
         let t = prepared.exposure();
         let z: Vec<&str> = prepared
@@ -88,20 +88,20 @@ fn main() {
             .map(|s| s.as_str())
             .collect();
         let mi_dense = report.time(&format!("{name}/kernel/mi_dense"), rows, 5, || {
-            std::hint::black_box(mutable.mutual_information(o, t, None).expect("mi"));
+            std::hint::black_box(unsealed.mutual_information(o, t, None).expect("mi"));
         });
         let mi_sealed = report.time(&format!("{name}/kernel/mi_sealed"), rows, 5, || {
             std::hint::black_box(sealed.mutual_information(o, t, None).expect("mi"));
         });
         let cmi_dense = report.time(&format!("{name}/kernel/cmi_dense"), rows, 5, || {
-            std::hint::black_box(mutable.cmi(o, t, &z, None).expect("cmi"));
+            std::hint::black_box(unsealed.cmi(o, t, &z, None).expect("cmi"));
         });
         let cmi_sealed = report.time(&format!("{name}/kernel/cmi_sealed"), rows, 5, || {
             std::hint::black_box(sealed.cmi(o, t, &z, None).expect("cmi"));
         });
 
         // The estimates themselves must agree bit for bit across states.
-        let a = mutable.cmi(o, t, &z, None).expect("cmi");
+        let a = unsealed.cmi(o, t, &z, None).expect("cmi");
         let b = sealed.cmi(o, t, &z, None).expect("cmi");
         assert_eq!(a.to_bits(), b.to_bits(), "sealed CMI drifted on {name}");
 

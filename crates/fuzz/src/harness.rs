@@ -19,8 +19,8 @@ use mesa::{report_summary, Mesa, MesaError, MesaReport, PrepareConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tabular::{
-    bin_frame_encoded, join, join_rendered, AggregateQuery, ColumnView, DType, DataFrame, JoinKind,
-    Predicate, SealedColumn,
+    bin_frame_encoded, join, join_rendered, AggregateQuery, DType, DataFrame, EncodedColumn,
+    JoinKind, Predicate,
 };
 
 use crate::scenario::Scenario;
@@ -385,7 +385,7 @@ fn canonical(acc: &Accumulated) -> (Vec<(Vec<u32>, u64)>, u64, usize) {
 /// zero-containing weight vector.
 fn kernel_equivalence(scenario: &Scenario, sabotage: Sabotage) -> Result<(), OracleFailure> {
     const FAMILY: &str = "kernel-equivalence";
-    let encoded: Vec<tabular::EncodedColumn> = scenario.df.columns().map(|c| c.encode()).collect();
+    let encoded: Vec<EncodedColumn> = scenario.df.columns().map(|c| c.encode()).collect();
     if encoded.len() < 2 {
         return Ok(());
     }
@@ -409,10 +409,9 @@ fn kernel_equivalence(scenario: &Scenario, sabotage: Sabotage) -> Result<(), Ora
                 idx.push(i);
             }
         }
-        let refs: Vec<&tabular::EncodedColumn> = idx.iter().map(|&i| &encoded[i]).collect();
-        let sealed: Vec<SealedColumn> = refs.iter().map(|e| e.seal()).collect();
-        let sealed_views: Vec<ColumnView<'_>> = sealed.iter().map(ColumnView::from).collect();
-        let plain_views: Vec<ColumnView<'_>> = refs.iter().map(|&e| e.into()).collect();
+        let refs: Vec<&EncodedColumn> = idx.iter().map(|&i| &encoded[i]).collect();
+        let sealed: Vec<EncodedColumn> = refs.iter().map(|&e| e.clone().seal()).collect();
+        let sealed: Vec<&EncodedColumn> = sealed.iter().collect();
 
         for (budget_name, budget) in [("dense", 1usize << 22), ("sparse", 0usize)] {
             let fold = |name: &str, result: Result<Accumulated, tabular::TabularError>| {
@@ -425,8 +424,8 @@ fn kernel_equivalence(scenario: &Scenario, sabotage: Sabotage) -> Result<(), Ora
             };
             let w = weights.as_deref();
             let reference = fold("reference", reference_accumulate(&refs, w, budget))?;
-            let via_plain = fold("plain", accumulate(&plain_views, w, budget))?;
-            let mut via_sealed = fold("sealed", accumulate(&sealed_views, w, budget))?;
+            let via_plain = fold("plain", accumulate(&refs, w, budget))?;
+            let mut via_sealed = fold("sealed", accumulate(&sealed, w, budget))?;
             if sabotage == Sabotage::Sealed {
                 match via_sealed.0.first_mut() {
                     Some(cell) => cell.1 = f64::from_bits(cell.1).mul_add(1.0, 1.0).to_bits(),

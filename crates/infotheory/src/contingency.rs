@@ -11,7 +11,7 @@
 //! into a flat dense vector via mixed-radix code packing; larger ones fall
 //! back to the sparse hash-map path.
 
-use tabular::{ColumnView, TabularError};
+use tabular::{EncodedColumn, TabularError};
 
 use crate::kernel::{self, JointCounts};
 
@@ -30,7 +30,7 @@ pub struct JointTable {
 }
 
 impl JointTable {
-    /// Builds the joint table of `columns` (in either lifecycle state) over
+    /// Builds the joint table of `columns` (in any layout) over
     /// rows `0..n`, where `n` is the common length of the columns, with the
     /// row-aware dense/sparse crossover
     /// ([`adaptive_dense_cells`](kernel::adaptive_dense_cells)).
@@ -44,10 +44,10 @@ impl JointTable {
     /// Inconsistent lengths and negative or non-finite weights are returned
     /// as [`TabularError::InvalidArgument`].
     pub fn build(
-        columns: &[ColumnView<'_>],
+        columns: &[&EncodedColumn],
         weights: Option<&[f64]>,
     ) -> Result<Self, TabularError> {
-        let n = columns.first().map_or(0, ColumnView::len);
+        let n = columns.first().map_or(0, |c| c.len());
         Self::build_with_threshold(columns, weights, kernel::adaptive_dense_cells(n))
     }
 
@@ -55,7 +55,7 @@ impl JointTable {
     /// threshold: cross products with at most `dense_cells` cells use the
     /// dense kernel, larger ones the sparse hash path. `0` forces sparse.
     pub fn build_with_threshold(
-        columns: &[ColumnView<'_>],
+        columns: &[&EncodedColumn],
         weights: Option<&[f64]>,
         dense_cells: usize,
     ) -> Result<Self, TabularError> {
@@ -131,15 +131,14 @@ impl JointTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tabular::{Column, EncodedColumn};
+    use tabular::Column;
 
     fn enc(vals: &[Option<&str>]) -> EncodedColumn {
         Column::from_str_values("c", vals.to_vec()).encode()
     }
 
     fn build(cols: &[&EncodedColumn], weights: Option<&[f64]>) -> JointTable {
-        let views: Vec<ColumnView<'_>> = cols.iter().map(|&c| c.into()).collect();
-        JointTable::build(&views, weights).unwrap()
+        JointTable::build(cols, weights).unwrap()
     }
 
     #[test]
@@ -203,8 +202,7 @@ mod tests {
         let y = enc(&[Some("0"), Some("1"), Some("0"), Some("1"), None, Some("1")]);
         let w = [1.0, 2.0, 0.5, 1.0, 1.0, 3.0];
         let dense = build(&[&x, &y], Some(&w));
-        let sparse =
-            JointTable::build_with_threshold(&[(&x).into(), (&y).into()], Some(&w), 0).unwrap();
+        let sparse = JointTable::build_with_threshold(&[&x, &y], Some(&w), 0).unwrap();
         assert!(dense.is_dense());
         assert!(!sparse.is_dense());
         assert_eq!(dense.total(), sparse.total());

@@ -7,33 +7,14 @@
 
 use std::collections::HashMap;
 
-use tabular::{ColumnView, DataFrame, EncodedColumn, Encoding, Result, SealedColumn, TabularError};
+use tabular::{DataFrame, EncodedColumn, Encoding, Result, TabularError};
 
 use crate::independence::{self, CiTestConfig, CiTestResult};
 use crate::measures;
 
-/// One column of an [`EncodedFrame`], in one of the two lifecycle states of
-/// the storage layer (see [`tabular::storage`]).
-#[derive(Debug, Clone)]
-enum FrameColumn {
-    /// Freshly encoded: dense codes.
-    Mutable(EncodedColumn),
-    /// Compressed and immutable, produced by [`EncodedFrame::seal`].
-    Sealed(SealedColumn),
-}
-
-impl FrameColumn {
-    fn view(&self) -> ColumnView<'_> {
-        match self {
-            FrameColumn::Mutable(c) => ColumnView::Plain(c),
-            FrameColumn::Sealed(c) => ColumnView::Sealed(c),
-        }
-    }
-}
-
 /// The per-column outcome of sealing a frame: which encoding was selected and
-/// the byte accounting that drove the selection. Mutable (unsealed) columns
-/// report [`Encoding::Dense`] with equal dense and sealed byte counts.
+/// the byte accounting that drove the selection. Unsealed columns report
+/// [`Encoding::Dense`] with equal dense and sealed byte counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnEncodingReport {
     /// Column name.
@@ -44,19 +25,19 @@ pub struct ColumnEncodingReport {
     pub cardinality: usize,
     /// Number of maximal equal-code runs in the stream (0 when unsealed).
     pub n_runs: usize,
-    /// Bytes of the dense (mutable) code vector.
+    /// Bytes of the dense code vector.
     pub dense_bytes: usize,
     /// Bytes of the code payload in the selected encoding.
     pub sealed_bytes: usize,
 }
 
-/// Encoded view of a frame: one column of codes per original column, each in
-/// the mutable or sealed state of the mutable → sealed lifecycle. Every
-/// measure accepts both states transparently (sealed columns are folded
-/// run-aware, with bit-identical results).
+/// Encoded view of a frame: one [`EncodedColumn`] per original column, in
+/// the dense layout encoding produces until [`seal`](EncodedFrame::seal)
+/// re-lays each out. Every measure reads every layout (sealed columns are
+/// folded run-aware, with bit-identical results).
 #[derive(Debug, Clone)]
 pub struct EncodedFrame {
-    columns: HashMap<String, FrameColumn>,
+    columns: HashMap<String, EncodedColumn>,
     n_rows: usize,
 }
 
@@ -65,7 +46,7 @@ impl EncodedFrame {
     pub fn from_frame(df: &DataFrame) -> Self {
         let columns = df
             .columns()
-            .map(|c| (c.name().to_string(), FrameColumn::Mutable(c.encode())))
+            .map(|c| (c.name().to_string(), c.encode()))
             .collect();
         EncodedFrame {
             columns,
@@ -99,7 +80,7 @@ impl EncodedFrame {
             .columns()
             .map(|c| {
                 let enc = pre.remove(c.name()).unwrap_or_else(|| c.encode());
-                (c.name().to_string(), FrameColumn::Mutable(enc))
+                (c.name().to_string(), enc)
             })
             .collect();
         EncodedFrame { columns, n_rows }
@@ -109,7 +90,7 @@ impl EncodedFrame {
     pub fn from_frame_columns(df: &DataFrame, names: &[&str]) -> Result<Self> {
         let mut columns = HashMap::with_capacity(names.len());
         for &n in names {
-            columns.insert(n.to_string(), FrameColumn::Mutable(df.column(n)?.encode()));
+            columns.insert(n.to_string(), df.column(n)?.encode());
         }
         Ok(EncodedFrame {
             columns,
@@ -132,60 +113,46 @@ impl EncodedFrame {
         self.columns.contains_key(name)
     }
 
-    /// Borrows a column as a state-agnostic [`ColumnView`].
-    pub fn column(&self, name: &str) -> Result<ColumnView<'_>> {
+    /// Borrows a column.
+    pub fn column(&self, name: &str) -> Result<&EncodedColumn> {
         self.columns
             .get(name)
-            .map(FrameColumn::view)
             .ok_or_else(|| TabularError::ColumnNotFound(name.to_string()))
     }
 
-    /// Seals every mutable column in place, re-encoding its codes into the
-    /// smallest applicable compressed layout (see [`EncodedColumn::seal`]).
-    /// Already-sealed columns are left untouched, so on a frame that MESA's
-    /// preparation already sealed this does nothing. Every measure returns
-    /// bit-identical results before and after sealing.
+    /// Seals every column in place, re-laying its codes out in the smallest
+    /// applicable layout (see [`EncodedColumn::seal`]). Sealed columns are
+    /// left untouched, so on a frame that MESA's preparation already sealed
+    /// this does nothing. Every measure returns bit-identical results before
+    /// and after sealing.
     pub fn seal(&mut self) {
         for col in self.columns.values_mut() {
-            if let FrameColumn::Mutable(c) = col {
-                *col = FrameColumn::Sealed(c.seal());
-            }
+            let dense = std::mem::replace(col, EncodedColumn::from_codes(Vec::new(), Vec::new()));
+            *col = dense.seal();
         }
     }
 
-    /// Whether every column is in the sealed state.
+    /// Whether every column is sealed.
     pub fn is_sealed(&self) -> bool {
-        self.columns
-            .values()
-            .all(|c| matches!(c, FrameColumn::Sealed(_)))
+        self.columns.values().all(EncodedColumn::is_sealed)
     }
 
     /// The per-column encoding decisions and byte footprints, sorted by
-    /// column name. Meaningful after [`seal`](EncodedFrame::seal); mutable
+    /// column name. Meaningful after [`seal`](EncodedFrame::seal); unsealed
     /// columns report the dense layout with zero compression.
     pub fn encoding_report(&self) -> Vec<ColumnEncodingReport> {
         let mut report: Vec<ColumnEncodingReport> = self
             .columns
             .iter()
-            .map(|(name, col)| match col {
-                FrameColumn::Mutable(c) => ColumnEncodingReport {
+            .map(|(name, col)| {
+                let choice = col.choice();
+                ColumnEncodingReport {
                     name: name.clone(),
-                    encoding: Encoding::Dense,
-                    cardinality: c.cardinality(),
-                    n_runs: 0,
-                    dense_bytes: 4 * c.len(),
-                    sealed_bytes: 4 * c.len(),
-                },
-                FrameColumn::Sealed(c) => {
-                    let choice = c.choice();
-                    ColumnEncodingReport {
-                        name: name.clone(),
-                        encoding: choice.encoding,
-                        cardinality: c.cardinality(),
-                        n_runs: choice.n_runs,
-                        dense_bytes: choice.dense_bytes,
-                        sealed_bytes: choice.sealed_bytes,
-                    }
+                    encoding: choice.encoding,
+                    cardinality: col.cardinality(),
+                    n_runs: choice.n_runs,
+                    dense_bytes: choice.dense_bytes,
+                    sealed_bytes: choice.sealed_bytes,
                 }
             })
             .collect();
@@ -193,7 +160,7 @@ impl EncodedFrame {
         report
     }
 
-    fn columns_for(&self, names: &[&str]) -> Result<Vec<ColumnView<'_>>> {
+    fn columns_for(&self, names: &[&str]) -> Result<Vec<&EncodedColumn>> {
         names.iter().map(|&n| self.column(n)).collect()
     }
 
@@ -444,15 +411,14 @@ mod tests {
         let ci = CiTestConfig::default();
         for (what, cols, weights) in &cases {
             let weights = weights.as_deref();
-            let views: Vec<ColumnView<'_>> = cols.iter().map(|&c| c.into()).collect();
             let cells = kernel::DEFAULT_DENSE_CELLS;
-            assert_invalid(kernel::accumulate(&views, weights, cells), what, "kernel");
+            assert_invalid(kernel::accumulate(cols, weights, cells), what, "kernel");
             assert_invalid(
                 kernel::reference_accumulate(cols, weights, cells),
                 what,
                 "reference",
             );
-            assert_invalid(JointTable::build(&views, weights), what, "table");
+            assert_invalid(JointTable::build(cols, weights), what, "table");
             if cols[1].len() != ef.n_rows() {
                 continue;
             }

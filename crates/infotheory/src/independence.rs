@@ -12,7 +12,7 @@
 //! `(|X|-1)(|Y|-1)·|Z|` degrees of freedom under the null hypothesis of
 //! conditional independence.
 
-use tabular::{ColumnView, TabularError};
+use tabular::{EncodedColumn, TabularError};
 
 use crate::contingency::JointTable;
 use crate::measures::cmi_of_table;
@@ -64,15 +64,15 @@ fn observed_levels(table: &JointTable, dim: usize) -> usize {
 }
 
 /// Runs the G-test of `X ⫫ Y | Z` on complete cases (optionally weighted),
-/// over columns in either lifecycle state.
+/// over columns in any layout.
 pub fn ci_test(
-    x: ColumnView<'_>,
-    y: ColumnView<'_>,
-    z: &[ColumnView<'_>],
+    x: &EncodedColumn,
+    y: &EncodedColumn,
+    z: &[&EncodedColumn],
     weights: Option<&[f64]>,
     config: CiTestConfig,
 ) -> Result<CiTestResult, TabularError> {
-    let mut all: Vec<ColumnView<'_>> = Vec::with_capacity(z.len() + 2);
+    let mut all: Vec<&EncodedColumn> = Vec::with_capacity(z.len() + 2);
     all.push(x);
     all.push(y);
     all.extend_from_slice(z);
@@ -127,7 +127,7 @@ pub fn ci_test_table(joint: &JointTable, config: CiTestConfig) -> CiTestResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tabular::{Column, EncodedColumn};
+    use tabular::Column;
 
     fn enc(vals: &[&str]) -> EncodedColumn {
         Column::from_str_values("c", vals.iter().map(|v| Some(*v)).collect()).encode()
@@ -151,8 +151,7 @@ mod tests {
         z: &[&EncodedColumn],
         config: CiTestConfig,
     ) -> CiTestResult {
-        let z: Vec<ColumnView<'_>> = z.iter().map(|&c| c.into()).collect();
-        ci_test(x.into(), y.into(), &z, None, config).unwrap()
+        ci_test(x, y, z, None, config).unwrap()
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The columnar counting kernel behind every estimator in this crate.
 //!
-//! [`accumulate`] is the one production entry point: it takes columns in
-//! either lifecycle state as [`ColumnView`]s, checks the input contract
-//! (equal lengths, finite non-negative weights) and returns a `Result`.
-//! [`reference_accumulate`], a row-at-a-time fold over plain columns, is
+//! [`accumulate`] is the one production entry point: it takes
+//! [`EncodedColumn`]s in any layout, checks the input contract (equal
+//! lengths, finite non-negative weights) and returns a `Result`.
+//! [`reference_accumulate`], a row-at-a-time fold over decoded codes, is
 //! the oracle that tests and the fuzzer hold it to, bit for bit.
 //!
 //! A joint count table over encoded columns can be stored two ways:
@@ -35,7 +35,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use tabular::{Access, Bitmap, Codes, ColumnView, EncodedColumn, Run, RunIter, TabularError};
+use tabular::{Access, Bitmap, Codes, EncodedColumn, Run, RunIter, TabularError};
 
 /// A deterministic FxHash-style hasher: multiply-xor folding with fixed
 /// constants and no per-process seed. Quality is more than sufficient for
@@ -131,7 +131,7 @@ pub fn adaptive_dense_cells(n_rows: usize) -> usize {
 
 /// The complete-case mask of a set of columns over `n_rows` rows: bit `i` is
 /// set iff row `i` is non-null in every column. Callers validate lengths.
-fn complete_case_mask(columns: &[ColumnView<'_>], n_rows: usize) -> Bitmap {
+fn complete_case_mask(columns: &[&EncodedColumn], n_rows: usize) -> Bitmap {
     let mut mask = Bitmap::new_all_set(n_rows);
     for c in columns {
         mask.intersect_with(c.validity());
@@ -142,7 +142,7 @@ fn complete_case_mask(columns: &[ColumnView<'_>], n_rows: usize) -> Bitmap {
 /// Number of cells of the dense cross product, or `None` when it exceeds
 /// `threshold` (or overflows `usize`). Columns with cardinality 0 (entirely
 /// missing) contribute a radix of 1 so the product stays well-defined.
-fn dense_cell_count(columns: &[ColumnView<'_>], threshold: usize) -> Option<usize> {
+fn dense_cell_count(columns: &[&EncodedColumn], threshold: usize) -> Option<usize> {
     let mut cells: usize = 1;
     for c in columns {
         cells = cells.checked_mul(c.cardinality().max(1))?;
@@ -228,9 +228,9 @@ fn validate(
 /// complete-case tally. Inconsistent lengths and negative or non-finite
 /// weights are returned as [`TabularError::InvalidArgument`].
 ///
-/// Columns in either lifecycle state are folded without a full decode:
+/// Columns in every layout are folded without a full decode:
 ///
-/// * any RLE or delta column present → **run-aligned segment co-iteration**:
+/// * any RLE column present → **run-aligned segment co-iteration**:
 ///   each segment is the intersection of the participating runs, the run
 ///   columns' contribution to the joint index is hoisted out of the row
 ///   loop, per-segment validity comes from the word-level range iterators of
@@ -238,9 +238,9 @@ fn validate(
 ///   code slices, and an all-run unweighted segment collapses to a single
 ///   `+= count_set_range(..)`;
 /// * otherwise → **64-row blocks** aligned to the mask words: all-null
-///   words are skipped wholesale, and each column — plain, sealed-dense or
-///   sealed-narrow — adds its block of `u32`, `u16` or `u8` codes to the
-///   rows' joint indices in one loop, generic over the code width.
+///   words are skipped wholesale, and each column — dense or narrow —
+///   adds its block of `u32`, `u16` or `u8` codes to the rows' joint
+///   indices in one loop, generic over the code width.
 ///
 /// Both folds visit surviving rows in ascending row order and perform the
 /// identical floating-point operations per row as [`reference_accumulate`]
@@ -248,11 +248,11 @@ fn validate(
 /// `+= n`, exact for integer counts), so results are **bit-identical** to
 /// the reference — an equality the test suite asserts, not approximates.
 pub fn accumulate(
-    columns: &[ColumnView<'_>],
+    columns: &[&EncodedColumn],
     weights: Option<&[f64]>,
     dense_cells: usize,
 ) -> Result<Accumulated, TabularError> {
-    let n = validate(columns.iter().map(ColumnView::len), weights)?;
+    let n = validate(columns.iter().map(|c| c.len()), weights)?;
     parallel::fault_point!("infotheory.kernel.accumulate");
     let mask = complete_case_mask(columns, n);
     let cells = dense_cell_count(columns, dense_cells);
@@ -290,22 +290,22 @@ pub fn accumulate(
     })
 }
 
-/// The reference fold: one row at a time over plain columns, in the dense
-/// or sparse layout by the same `dense_cells` rule as [`accumulate`], with
-/// the same input contract. It shares no access path with the production
-/// folds, which makes it their independent oracle; only tests and the
-/// fuzzer call it.
+/// The reference fold: one row at a time over each column's decoded
+/// [`codes`](EncodedColumn::codes), in the dense or sparse layout by the
+/// same `dense_cells` rule as [`accumulate`], with the same input contract.
+/// It shares no access path with the production folds, which makes it
+/// their independent oracle; only tests and the fuzzer call it.
 pub fn reference_accumulate(
     columns: &[&EncodedColumn],
     weights: Option<&[f64]>,
     dense_cells: usize,
 ) -> Result<Accumulated, TabularError> {
     let n = validate(columns.iter().map(|c| c.len()), weights)?;
-    let views: Vec<ColumnView<'_>> = columns.iter().map(|&c| c.into()).collect();
-    let mask = complete_case_mask(&views, n);
+    let codes: Vec<_> = columns.iter().map(|c| c.codes()).collect();
+    let mask = complete_case_mask(columns, n);
     let mut total = 0.0;
     let mut complete_cases = 0usize;
-    let counts = match dense_cell_count(&views, dense_cells) {
+    let counts = match dense_cell_count(columns, dense_cells) {
         Some(cells) => {
             let mut counts = vec![0.0f64; cells];
             let radices: Vec<usize> = columns.iter().map(|c| c.cardinality().max(1)).collect();
@@ -316,8 +316,8 @@ pub fn reference_accumulate(
                 }
                 let mut idx = 0usize;
                 let mut mult = 1usize;
-                for (c, &radix) in columns.iter().zip(&radices) {
-                    idx += c.codes()[row] as usize * mult;
+                for (c, &radix) in codes.iter().zip(&radices) {
+                    idx += c[row] as usize * mult;
                     mult *= radix;
                 }
                 counts[idx] += w;
@@ -333,7 +333,7 @@ pub fn reference_accumulate(
                 if w == 0.0 {
                     continue;
                 }
-                let key: Vec<u32> = columns.iter().map(|c| c.codes()[row]).collect();
+                let key: Vec<u32> = codes.iter().map(|c| c[row]).collect();
                 *counts.entry(key).or_insert(0.0) += w;
                 total += w;
                 complete_cases += 1;
@@ -378,7 +378,7 @@ struct RowCol<'a> {
     mult: usize,
 }
 
-/// Run-aligned segment co-iteration over at least one RLE/delta column.
+/// Run-aligned segment co-iteration over at least one RLE column.
 fn fold_segments(
     mut run_cols: Vec<RunCol<'_>>,
     row_cols: &[RowCol<'_>],
@@ -745,20 +745,16 @@ mod tests {
         Column::from_str_values("c", vals.to_vec()).encode()
     }
 
-    fn views<'a>(cols: &[&'a EncodedColumn]) -> Vec<ColumnView<'a>> {
-        cols.iter().map(|&c| c.into()).collect()
-    }
-
-    /// The production fold over plain columns.
+    /// The production fold.
     fn fold(cols: &[&EncodedColumn], weights: Option<&[f64]>, dense_cells: usize) -> Accumulated {
-        accumulate(&views(cols), weights, dense_cells).unwrap()
+        accumulate(cols, weights, dense_cells).unwrap()
     }
 
     #[test]
     fn mask_is_intersection_of_validities() {
         let x = enc(&[Some("a"), None, Some("b"), Some("a")]);
         let y = enc(&[Some("0"), Some("1"), None, Some("0")]);
-        let mask = complete_case_mask(&views(&[&x, &y]), 4);
+        let mask = complete_case_mask(&[&x, &y], 4);
         let rows: Vec<usize> = mask.iter_set().collect();
         assert_eq!(rows, vec![0, 3]);
     }
@@ -767,12 +763,12 @@ mod tests {
     fn cell_count_respects_threshold_and_overflow() {
         let x = enc(&[Some("a"), Some("b"), Some("c")]);
         let y = enc(&[Some("0"), Some("1"), Some("0")]);
-        assert_eq!(dense_cell_count(&views(&[&x, &y]), 100), Some(6));
-        assert_eq!(dense_cell_count(&views(&[&x, &y]), 5), None);
+        assert_eq!(dense_cell_count(&[&x, &y], 100), Some(6));
+        assert_eq!(dense_cell_count(&[&x, &y], 5), None);
         assert_eq!(dense_cell_count(&[], 1), Some(1));
         // all-missing column contributes radix 1
         let empty = enc(&[None, None, None]);
-        assert_eq!(dense_cell_count(&views(&[&x, &empty]), 100), Some(3));
+        assert_eq!(dense_cell_count(&[&x, &empty], 100), Some(3));
     }
 
     #[test]
@@ -888,14 +884,14 @@ mod tests {
     }
 
     /// Asserts that the production fold over the sealed columns, and over
-    /// the plain ones, is bit-identical to the reference fold, in both
-    /// layouts.
-    fn assert_views_match_oracle(cols: &[&EncodedColumn], weights: Option<&[f64]>) {
-        let sealed: Vec<_> = cols.iter().map(|c| c.seal()).collect();
-        let sealed_views: Vec<ColumnView<'_>> = sealed.iter().map(ColumnView::from).collect();
+    /// the dense ones, is bit-identical to the reference fold, in both
+    /// table layouts.
+    fn assert_sealed_match_oracle(cols: &[&EncodedColumn], weights: Option<&[f64]>) {
+        let sealed: Vec<EncodedColumn> = cols.iter().map(|&c| c.clone().seal()).collect();
+        let sealed: Vec<&EncodedColumn> = sealed.iter().collect();
         for dense_cells in [DEFAULT_DENSE_CELLS, 0] {
             let oracle = reference_accumulate(cols, weights, dense_cells).unwrap();
-            let got = accumulate(&sealed_views, weights, dense_cells).unwrap();
+            let got = accumulate(&sealed, weights, dense_cells).unwrap();
             assert_bitwise_equal(&got, &oracle);
             assert_bitwise_equal(&fold(cols, weights, dense_cells), &oracle);
         }
@@ -923,9 +919,9 @@ mod tests {
             })
             .collect();
         let (x, y) = (enc(&x), enc(&y));
-        assert_views_match_oracle(&[&x, &y], None);
+        assert_sealed_match_oracle(&[&x, &y], None);
         let w: Vec<f64> = (0..300).map(|i| (i % 7) as f64 * 0.25).collect();
-        assert_views_match_oracle(&[&x, &y], Some(&w));
+        assert_sealed_match_oracle(&[&x, &y], Some(&w));
     }
 
     #[test]
@@ -945,9 +941,9 @@ mod tests {
             .map(|i| Some(["0", "1", "2", "3", "4", "5", "6"][(i * 31) % 7]))
             .collect();
         let (x, y) = (enc(&x), enc(&y));
-        assert_views_match_oracle(&[&x, &y], None);
+        assert_sealed_match_oracle(&[&x, &y], None);
         let w: Vec<f64> = (0..500).map(|i| 0.5 + (i % 5) as f64).collect();
-        assert_views_match_oracle(&[&x, &y], Some(&w));
+        assert_sealed_match_oracle(&[&x, &y], Some(&w));
     }
 
     #[test]
@@ -959,21 +955,16 @@ mod tests {
             .map(|i| Some(["a", "b", "c", "d", "e", "f"][(i * 13) % 6]))
             .collect();
         let (r, s) = (enc(&runny), enc(&shuffled));
-        assert_views_match_oracle(&[&r, &s], None);
-        // Mixed states too: sealed runny column alongside a mutable column.
+        assert_sealed_match_oracle(&[&r, &s], None);
+        // Mixed layouts too: sealed runny column alongside a dense column.
         let oracle = reference_accumulate(&[&r, &s], None, DEFAULT_DENSE_CELLS).unwrap();
-        let sealed_r = r.seal();
-        let got = accumulate(
-            &[ColumnView::from(&sealed_r), ColumnView::from(&s)],
-            None,
-            DEFAULT_DENSE_CELLS,
-        )
-        .unwrap();
+        let sealed_r = r.clone().seal();
+        let got = accumulate(&[&sealed_r, &s], None, DEFAULT_DENSE_CELLS).unwrap();
         assert_bitwise_equal(&got, &oracle);
     }
 
     #[test]
-    fn all_plain_views_match_oracle() {
+    fn all_dense_columns_match_oracle() {
         let x = enc(&[Some("a"), Some("b"), None, Some("a")]);
         let oracle = reference_accumulate(&[&x], None, DEFAULT_DENSE_CELLS).unwrap();
         assert_bitwise_equal(&fold(&[&x], None, DEFAULT_DENSE_CELLS), &oracle);
@@ -981,27 +972,19 @@ mod tests {
 
     #[test]
     fn sealed_empty_and_all_null_columns() {
-        let empty = enc(&[]);
-        let sealed = empty.seal();
-        let got = accumulate(&[ColumnView::from(&sealed)], None, DEFAULT_DENSE_CELLS).unwrap();
+        let sealed = enc(&[]).seal();
+        let got = accumulate(&[&sealed], None, DEFAULT_DENSE_CELLS).unwrap();
         assert_eq!(got.complete_cases, 0);
         assert_eq!(got.total, 0.0);
-        let all_null = enc(&[None, None, None]);
-        let sealed = all_null.seal();
-        let got = accumulate(&[ColumnView::from(&sealed)], None, DEFAULT_DENSE_CELLS).unwrap();
+        let sealed = enc(&[None, None, None]).seal();
+        let got = accumulate(&[&sealed], None, DEFAULT_DENSE_CELLS).unwrap();
         assert_eq!(got.complete_cases, 0);
     }
 
     #[test]
     fn sealed_zero_weights_are_skipped() {
-        let x = enc(&[Some("a"), Some("a"), Some("b"), Some("b")]);
-        let sealed = x.seal();
-        let got = accumulate(
-            &[ColumnView::from(&sealed)],
-            Some(&[1.0, 0.0, 2.0, 0.0]),
-            DEFAULT_DENSE_CELLS,
-        )
-        .unwrap();
+        let sealed = enc(&[Some("a"), Some("a"), Some("b"), Some("b")]).seal();
+        let got = accumulate(&[&sealed], Some(&[1.0, 0.0, 2.0, 0.0]), DEFAULT_DENSE_CELLS).unwrap();
         assert_eq!(got.complete_cases, 2);
         assert_eq!(got.total, 3.0);
     }

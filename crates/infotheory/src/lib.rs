@@ -5,10 +5,10 @@
 //! conditional mutual information (the paper's partial-correlation measure)
 //! and the G-test of conditional independence.
 //!
-//! All estimators take discrete columns as [`tabular::ColumnView`]s — plain
-//! [`tabular::EncodedColumn`]s or sealed [`tabular::SealedColumn`]s, with
-//! bit-identical results (numeric attributes are binned first, see
-//! [`tabular::bin_frame_encoded`]). They use complete-case analysis over the
+//! All estimators take discrete columns as `&`[`tabular::EncodedColumn`]s in
+//! any layout — the dense codes encoding produces or a sealed RLE or narrow
+//! layout — with bit-identical results (numeric attributes are binned
+//! first, see [`tabular::bin_frame_encoded`]). They use complete-case analysis over the
 //! involved columns, accept optional per-row weights so that Inverse
 //! Probability Weighting can correct selection bias (Section 3.2 of the
 //! paper), and return invalid input as a [`tabular::TabularError`]. Each

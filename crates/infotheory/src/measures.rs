@@ -4,22 +4,22 @@
 //! All quantities are plug-in (maximum-likelihood) estimates over discrete
 //! codes, in bits (log base 2), computed on complete cases and optionally
 //! re-weighted by IPW weights. This mirrors the paper's use of the Pyitlib
-//! library for CMI estimation. Every measure takes columns in either
-//! lifecycle state and returns the kernel's contract errors (unequal lengths,
-//! invalid weights) as [`TabularError::InvalidArgument`].
+//! library for CMI estimation. Every measure takes columns in any layout and
+//! returns the kernel's contract errors (unequal lengths, invalid weights)
+//! as [`TabularError::InvalidArgument`].
 
-use tabular::{ColumnView, TabularError};
+use tabular::{EncodedColumn, TabularError};
 
 use crate::contingency::JointTable;
 
 /// Shannon entropy `H(X)` of a single encoded column.
-pub fn entropy(x: ColumnView<'_>, weights: Option<&[f64]>) -> Result<f64, TabularError> {
+pub fn entropy(x: &EncodedColumn, weights: Option<&[f64]>) -> Result<f64, TabularError> {
     Ok(JointTable::build(&[x], weights)?.entropy())
 }
 
 /// Joint Shannon entropy `H(X1, ..., Xk)` of a set of encoded columns.
 pub fn joint_entropy(
-    cols: &[ColumnView<'_>],
+    cols: &[&EncodedColumn],
     weights: Option<&[f64]>,
 ) -> Result<f64, TabularError> {
     if cols.is_empty() {
@@ -33,14 +33,14 @@ pub fn joint_entropy(
 /// Both terms are computed on the same complete-case set (rows complete in
 /// `X` and every `Z`), so the identity holds exactly.
 pub fn conditional_entropy(
-    x: ColumnView<'_>,
-    given: &[ColumnView<'_>],
+    x: &EncodedColumn,
+    given: &[&EncodedColumn],
     weights: Option<&[f64]>,
 ) -> Result<f64, TabularError> {
     if given.is_empty() {
         return entropy(x, weights);
     }
-    let mut all: Vec<ColumnView<'_>> = Vec::with_capacity(given.len() + 1);
+    let mut all: Vec<&EncodedColumn> = Vec::with_capacity(given.len() + 1);
     all.push(x);
     all.extend_from_slice(given);
     Ok(conditional_entropy_of_table(&JointTable::build(
@@ -59,8 +59,8 @@ pub fn conditional_entropy_of_table(joint: &JointTable) -> f64 {
 ///
 /// Computed over rows complete in both `X` and `Y`.
 pub fn mutual_information(
-    x: ColumnView<'_>,
-    y: ColumnView<'_>,
+    x: &EncodedColumn,
+    y: &EncodedColumn,
     weights: Option<&[f64]>,
 ) -> Result<f64, TabularError> {
     Ok(cmi_of_table(&JointTable::build(&[x, y], weights)?))
@@ -75,12 +75,12 @@ pub fn mutual_information(
 /// complete in every involved column, so the chain-rule identities hold
 /// exactly on the estimate.
 pub fn conditional_mutual_information(
-    x: ColumnView<'_>,
-    y: ColumnView<'_>,
-    z: &[ColumnView<'_>],
+    x: &EncodedColumn,
+    y: &EncodedColumn,
+    z: &[&EncodedColumn],
     weights: Option<&[f64]>,
 ) -> Result<f64, TabularError> {
-    let mut all: Vec<ColumnView<'_>> = Vec::with_capacity(z.len() + 2);
+    let mut all: Vec<&EncodedColumn> = Vec::with_capacity(z.len() + 2);
     all.push(x);
     all.push(y);
     all.extend_from_slice(z);
@@ -113,7 +113,7 @@ pub(crate) fn cmi_of_table(joint: &JointTable) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tabular::{Column, EncodedColumn};
+    use tabular::Column;
 
     fn enc(vals: &[&str]) -> EncodedColumn {
         Column::from_str_values("c", vals.iter().map(|v| Some(*v)).collect()).encode()
@@ -124,16 +124,15 @@ mod tests {
     }
 
     fn h(x: &EncodedColumn, weights: Option<&[f64]>) -> f64 {
-        entropy(x.into(), weights).unwrap()
+        entropy(x, weights).unwrap()
     }
 
     fn mi(x: &EncodedColumn, y: &EncodedColumn) -> f64 {
-        mutual_information(x.into(), y.into(), None).unwrap()
+        mutual_information(x, y, None).unwrap()
     }
 
     fn cmi(x: &EncodedColumn, y: &EncodedColumn, z: &[&EncodedColumn]) -> f64 {
-        let z: Vec<ColumnView<'_>> = z.iter().map(|&c| c.into()).collect();
-        conditional_mutual_information(x.into(), y.into(), &z, None).unwrap()
+        conditional_mutual_information(x, y, z, None).unwrap()
     }
 
     #[test]
@@ -147,7 +146,7 @@ mod tests {
     fn joint_entropy_independent_vars_adds() {
         let x = enc(&["a", "a", "b", "b"]);
         let y = enc(&["0", "1", "0", "1"]);
-        let joint = joint_entropy(&[(&x).into(), (&y).into()], None).unwrap();
+        let joint = joint_entropy(&[&x, &y], None).unwrap();
         assert!((joint - 2.0).abs() < 1e-12);
         assert_eq!(joint_entropy(&[], None).unwrap(), 0.0);
     }
@@ -156,10 +155,7 @@ mod tests {
     fn conditional_entropy_identities() {
         let x = enc(&["a", "a", "b", "b"]);
         let y = enc(&["0", "1", "0", "1"]);
-        let h_given = |given: &[&EncodedColumn]| {
-            let given: Vec<ColumnView<'_>> = given.iter().map(|&c| c.into()).collect();
-            conditional_entropy((&x).into(), &given, None).unwrap()
-        };
+        let h_given = |given: &[&EncodedColumn]| conditional_entropy(&x, given, None).unwrap();
         // independent: H(X|Y) = H(X)
         assert!((h_given(&[&y]) - 1.0).abs() < 1e-12);
         // determined: H(X|X) = 0

@@ -37,7 +37,7 @@ use std::sync::OnceLock;
 
 use infotheory::{CiTestConfig, EncodedFrame};
 use stats::{irls, Design, LogisticConfig};
-use tabular::{Column, ColumnView, EncodedColumn};
+use tabular::{Column, EncodedColumn};
 
 use crate::error::{MesaError, Result};
 
@@ -68,10 +68,9 @@ pub struct SelectionBiasInfo {
 }
 
 /// Builds the selection indicator `R_E` for an attribute as an encoded
-/// column: code 1 = observed, code 0 = missing. Accepts the column in either
-/// lifecycle state (`&EncodedColumn` or [`ColumnView`]).
-pub fn selection_indicator<'a>(column: impl Into<ColumnView<'a>>) -> EncodedColumn {
-    let column = column.into();
+/// column: code 1 = observed, code 0 = missing. Reads only the validity, so
+/// the column's layout does not matter.
+pub fn selection_indicator(column: &EncodedColumn) -> EncodedColumn {
     // The indicator is the validity bitmap re-expressed as codes; walking
     // set-bit runs word-by-word fills it in O(words + runs) instead of one
     // branch per row.
@@ -301,8 +300,8 @@ fn analyze_with(
     // Independence of the selection indicator from outcome and exposure.
     let o = encoded.column(outcome)?;
     let t = encoded.column(exposure)?;
-    let r_vs_o = infotheory::ci_test((&r).into(), o, &[], None, ci)?;
-    let r_vs_t = infotheory::ci_test((&r).into(), t, &[], None, ci)?;
+    let r_vs_o = infotheory::ci_test(&r, o, &[], None, ci)?;
+    let r_vs_t = infotheory::ci_test(&r, t, &[], None, ci)?;
     let biased = !r_vs_o.independent || !r_vs_t.independent;
     if !biased {
         return Ok(SelectionBiasInfo {
@@ -315,7 +314,7 @@ fn analyze_with(
 
     // Fit P(R_E = 1 | X) on fully observed features. The indicator is fully
     // observed, so its raw codes are all meaningful.
-    let weights = design.get()?.and_then(|design| design.weights(r.codes()));
+    let weights = design.get()?.and_then(|design| design.weights(&r.codes()));
     Ok(SelectionBiasInfo {
         attribute: attribute.to_string(),
         missing_fraction,

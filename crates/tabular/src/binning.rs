@@ -21,9 +21,10 @@
 use std::borrow::Cow;
 
 use crate::bitmap::Bitmap;
-use crate::column::{Column, ColumnData, EncodedColumn};
+use crate::column::{Column, ColumnData};
 use crate::dataframe::DataFrame;
 use crate::error::{Result, TabularError};
+use crate::storage::EncodedColumn;
 
 /// The binning strategy for numeric columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,32 +106,55 @@ fn bin_entities(
         .iter()
         .map(|v| v.filter(|v| !v.is_nan()).map(|v| assign_bin(v, &edges)))
         .collect();
-    const UNSEEN: u32 = u32::MAX;
     let mut binned: Vec<Option<i64>> = Vec::with_capacity(n);
+    let encoded = encode_rows(
+        &bins,
+        edges.len() + 1,
+        rows,
+        |bin| bin.to_string(),
+        |bin| binned.push(bin.map(|bin| bin as i64)),
+    );
+    (Column::from_i64(column.name(), binned), encoded)
+}
+
+/// The encoding of the output rows of an entity-level column: row `i`
+/// holds entity `rows[i]` (`None`: a null row), and entity `e` falls in
+/// class `classes[e] < n_classes` (`None`: missing). Each class gets the
+/// next code on its first row, labelled `label(class)` — the order
+/// [`Column::encode`] assigns codes in — and `each` sees every row's class,
+/// in row order.
+fn encode_rows(
+    classes: &[Option<usize>],
+    n_classes: usize,
+    rows: impl ExactSizeIterator<Item = Option<usize>>,
+    mut label: impl FnMut(usize) -> String,
+    mut each: impl FnMut(Option<usize>),
+) -> EncodedColumn {
+    const UNSEEN: u32 = u32::MAX;
+    let n = rows.len();
     let mut codes: Vec<u32> = Vec::with_capacity(n);
     let mut validity = Bitmap::new_all_set(n);
-    let mut remap: Vec<u32> = vec![UNSEEN; edges.len() + 1];
+    let mut remap: Vec<u32> = vec![UNSEEN; n_classes];
     let mut labels: Vec<String> = Vec::new();
     for (row, entity) in rows.enumerate() {
-        match entity.and_then(|e| bins[e]) {
+        let class = entity.and_then(|e| classes[e]);
+        each(class);
+        match class {
             None => {
-                binned.push(None);
                 codes.push(0);
                 validity.clear(row);
             }
-            Some(bin) => {
-                binned.push(Some(bin as i64));
-                let slot = &mut remap[bin];
+            Some(class) => {
+                let slot = &mut remap[class];
                 if *slot == UNSEEN {
                     *slot = labels.len() as u32;
-                    labels.push(bin.to_string());
+                    labels.push(label(class));
                 }
                 codes.push(*slot);
             }
         }
     }
-    let encoded = EncodedColumn::from_parts(codes, validity, labels);
-    (Column::from_i64(column.name(), binned), encoded)
+    EncodedColumn::from_parts(codes, validity, labels)
 }
 
 /// The present values (neither null nor NaN) of the entities that occur,
@@ -283,8 +307,10 @@ pub fn bin_frame_encoded(
 ///   more than `n_bins` distinct present values is binned once per entity,
 ///   from edges that weight each entity by its number of rows, and written
 ///   through `rows` in one pass;
-/// - any other column is gathered with [`Column::take_opt`]; a numeric one
-///   then has its NaN cells nulled and is encoded as a small domain.
+/// - any other numeric column is a small domain: its entity column, with
+///   NaN cells nulled, is encoded once and gathered, and its codes are
+///   written through `rows` in order of first appearance;
+/// - a non-numeric column is gathered with [`Column::take_opt`].
 ///
 /// # Errors
 /// [`TabularError::RowOutOfBounds`] when `rows` names a row past the table,
@@ -307,7 +333,11 @@ pub fn bin_joined(
     }
     let mut out = Vec::with_capacity(table.n_cols());
     for column in table.columns().filter(|c| c.name() != key) {
-        if column.dtype().is_numeric() && distinct_exceeds(column, Some(&occurrences), n_bins) {
+        if !column.dtype().is_numeric() {
+            out.push((column.take_opt(rows), None));
+            continue;
+        }
+        if distinct_exceeds(column, Some(&occurrences), n_bins) {
             check_n_bins(n_bins)?;
             let entities = rows.iter().copied();
             let (binned, codes) =
@@ -315,14 +345,21 @@ pub fn bin_joined(
             out.push((binned, Some(codes)));
             continue;
         }
-        let mut gathered = column.take_opt(rows);
-        let encoding = if gathered.dtype().is_numeric() {
-            null_nans(&mut gathered)?;
-            Some(gathered.encode())
-        } else {
-            None
-        };
-        out.push((gathered, encoding));
+        let mut entities = column.clone();
+        null_nans(&mut entities)?;
+        let encoded = entities.encode();
+        let classes: Vec<Option<usize>> = encoded
+            .iter_codes()
+            .map(|code| code.map(|code| code as usize))
+            .collect();
+        let codes = encode_rows(
+            &classes,
+            encoded.cardinality(),
+            rows.iter().copied(),
+            |code| encoded.labels()[code].clone(),
+            |_| {},
+        );
+        out.push((entities.take_opt(rows), Some(codes)));
     }
     Ok(out)
 }

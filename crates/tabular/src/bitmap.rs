@@ -128,15 +128,6 @@ impl Bitmap {
         &self.words
     }
 
-    /// Whether every bit is set (vacuously true for an empty bitmap).
-    ///
-    /// Word-level: compares whole words against their expected all-ones
-    /// pattern instead of testing bits one by one. The sealer uses this to
-    /// gate encodings that cannot represent nulls (delta).
-    pub fn all_set(&self) -> bool {
-        self.count_set() == self.len
-    }
-
     /// Number of set bits in the half-open range `[start, end)`.
     ///
     /// Word-level: popcounts whole words, masking only the two boundary
@@ -389,16 +380,6 @@ mod tests {
         assert_eq!(got, vec![0, 63, 126, 189]);
         assert!(Bitmap::new_all_unset(100).iter_set().next().is_none());
         assert_eq!(Bitmap::new_all_set(65).iter_set().count(), 65);
-    }
-
-    #[test]
-    fn all_set_detection() {
-        assert!(Bitmap::new_all_set(130).all_set());
-        assert!(Bitmap::new_all_set(0).all_set());
-        assert!(!Bitmap::new_all_unset(1).all_set());
-        let mut bm = Bitmap::new_all_set(65);
-        bm.clear(64);
-        assert!(!bm.all_set());
     }
 
     #[test]

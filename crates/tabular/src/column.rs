@@ -10,6 +10,7 @@ use std::collections::HashMap;
 
 use crate::bitmap::Bitmap;
 use crate::error::{Result, TabularError};
+use crate::storage::EncodedColumn;
 use crate::value::{DType, Value};
 
 /// The physical storage backing a [`Column`].
@@ -494,11 +495,7 @@ impl Column {
                     }
                 }
             }
-            EncodedColumn {
-                codes,
-                validity,
-                labels,
-            }
+            EncodedColumn::from_dense(codes, validity, labels)
         }
 
         let n = self.len();
@@ -535,11 +532,7 @@ impl Column {
                         }
                     }
                 }
-                EncodedColumn {
-                    codes: packed,
-                    validity,
-                    labels,
-                }
+                EncodedColumn::from_dense(packed, validity, labels)
             }
             ColumnData::Int(v) => encode_cells(n, v.iter().copied(), |x| x.to_string()),
             ColumnData::Bool(v) => encode_cells(n, v.iter().copied(), |x| x.to_string()),
@@ -561,176 +554,6 @@ impl Column {
                 |bits| format!("{}", f64::from_bits(bits)),
             ),
         }
-    }
-}
-
-/// The discrete encoding of a column: packed integer codes, a validity bitmap
-/// marking which rows are non-null, and the label of each code.
-///
-/// The codes are stored densely (`Vec<u32>`, one slot per row) with a
-/// separate [`Bitmap`] null mask instead of `Vec<Option<u32>>`. This halves
-/// the memory per cell and lets the information-theoretic kernel compute the
-/// complete-case mask of a multi-column build with one word-wise bitmap `AND`
-/// per column. Slots at invalid positions hold `0` and must never be read
-/// directly; use [`code_at`](EncodedColumn::code_at) or consult
-/// [`validity`](EncodedColumn::validity) before touching
-/// [`codes`](EncodedColumn::codes).
-///
-/// Invariant: every code at a valid position is `< cardinality`, where the
-/// cardinality (number of distinct non-null values present) always equals
-/// `labels.len()`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EncodedColumn {
-    codes: Vec<u32>,
-    validity: Bitmap,
-    labels: Vec<String>,
-}
-
-impl EncodedColumn {
-    /// Builds an encoding from packed parts: one code slot per row and a
-    /// validity bitmap of the same length. Slots at invalid positions are
-    /// normalised to `0` so that equal encodings compare equal regardless of
-    /// what the caller left in the dead slots.
-    ///
-    /// # Panics
-    /// Panics if the bitmap length differs from the code count, or if a valid
-    /// slot holds a code `>= labels.len()`.
-    pub fn from_parts(mut codes: Vec<u32>, validity: Bitmap, labels: Vec<String>) -> Self {
-        assert_eq!(
-            codes.len(),
-            validity.len(),
-            "validity bitmap must have one bit per code slot"
-        );
-        let card = labels.len() as u32;
-        // One validity word per 64 rows: a fully observed block needs only
-        // its largest code checked; any other block is walked bit by bit.
-        for (w, (block, &word)) in codes.chunks_mut(64).zip(validity.words()).enumerate() {
-            if word == u64::MAX && block.iter().fold(0, |m, &c| m.max(c)) < card {
-                continue;
-            }
-            for (bit, code) in block.iter_mut().enumerate() {
-                if word >> bit & 1 == 0 {
-                    *code = 0;
-                } else {
-                    assert!(
-                        *code < card,
-                        "code {code} at row {} exceeds cardinality {card}",
-                        w * 64 + bit
-                    );
-                }
-            }
-        }
-        EncodedColumn {
-            codes,
-            validity,
-            labels,
-        }
-    }
-
-    /// Compatibility constructor from per-row optional codes (`None` =
-    /// missing). Call sites that used to fill `Vec<Option<u32>>` migrate here
-    /// mechanically.
-    ///
-    /// # Panics
-    /// Panics if a present code is `>= labels.len()`.
-    pub fn from_option_codes<I>(codes: I, labels: Vec<String>) -> Self
-    where
-        I: IntoIterator<Item = Option<u32>>,
-    {
-        let iter = codes.into_iter();
-        let hint = iter.size_hint().0;
-        let mut packed = Vec::with_capacity(hint);
-        let mut validity = Bitmap::with_capacity(hint);
-        for code in iter {
-            packed.push(code.unwrap_or(0));
-            validity.push(code.is_some());
-        }
-        EncodedColumn::from_parts(packed, validity, labels)
-    }
-
-    /// Builds a fully observed encoding (no missing rows).
-    ///
-    /// # Panics
-    /// Panics if a code is `>= labels.len()`.
-    pub fn from_codes(codes: Vec<u32>, labels: Vec<String>) -> Self {
-        let validity = Bitmap::new_all_set(codes.len());
-        EncodedColumn::from_parts(codes, validity, labels)
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.codes.len()
-    }
-
-    /// Whether the encoding has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
-    }
-
-    /// Number of distinct codes (equal to the number of labels).
-    pub fn cardinality(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// Human-readable label for each code, indexed by code.
-    pub fn labels(&self) -> &[String] {
-        &self.labels
-    }
-
-    /// The label of one code.
-    ///
-    /// # Panics
-    /// Panics if `code >= cardinality`.
-    pub fn label(&self, code: u32) -> &str {
-        &self.labels[code as usize]
-    }
-
-    /// The packed per-row codes. Slots where the validity bit is unset hold
-    /// `0` and carry no meaning.
-    pub fn codes(&self) -> &[u32] {
-        &self.codes
-    }
-
-    /// The validity bitmap: bit `i` set ⇔ row `i` is non-null.
-    pub fn validity(&self) -> &Bitmap {
-        &self.validity
-    }
-
-    /// Whether row `i` is non-null.
-    ///
-    /// # Panics
-    /// Panics if `i >= len`.
-    #[inline]
-    pub fn is_present(&self, i: usize) -> bool {
-        self.validity.get(i)
-    }
-
-    /// The code of row `i`, or `None` when the row is null.
-    ///
-    /// # Panics
-    /// Panics if `i >= len`.
-    #[inline]
-    pub fn code_at(&self, i: usize) -> Option<u32> {
-        if self.validity.get(i) {
-            Some(self.codes[i])
-        } else {
-            None
-        }
-    }
-
-    /// Iterates all rows as optional codes, in row order.
-    pub fn iter_codes(&self) -> impl Iterator<Item = Option<u32>> + '_ {
-        (0..self.len()).map(move |i| self.code_at(i))
-    }
-
-    /// Number of null rows.
-    pub fn null_count(&self) -> usize {
-        self.validity.count_unset()
-    }
-
-    /// Number of non-null rows.
-    pub fn n_present(&self) -> usize {
-        self.validity.count_set()
     }
 }
 
@@ -865,35 +688,6 @@ mod tests {
         let c = Column::constant("k", Value::Str("same".into()), 4);
         assert_eq!(c.len(), 4);
         assert_eq!(c.n_distinct(), 1);
-    }
-
-    #[test]
-    fn encoded_column_constructors_agree() {
-        let labels = vec!["a".to_string(), "b".to_string()];
-        let from_opts =
-            EncodedColumn::from_option_codes(vec![Some(0), None, Some(1), Some(0)], labels.clone());
-        let from_parts = EncodedColumn::from_parts(
-            vec![0, 0, 1, 0],
-            [true, false, true, true].into_iter().collect(),
-            labels.clone(),
-        );
-        assert_eq!(from_opts, from_parts);
-        assert_eq!(from_opts.cardinality(), 2);
-        let full = EncodedColumn::from_codes(vec![0, 1, 1], labels);
-        assert_eq!(full.null_count(), 0);
-        assert_eq!(full.code_at(2), Some(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds cardinality")]
-    fn encoded_column_rejects_out_of_range_codes() {
-        EncodedColumn::from_codes(vec![0, 2], vec!["only".to_string()]);
-    }
-
-    #[test]
-    #[should_panic(expected = "one bit per code slot")]
-    fn encoded_column_rejects_length_mismatch() {
-        EncodedColumn::from_parts(vec![0], Bitmap::new_all_set(2), vec!["a".to_string()]);
     }
 
     #[test]

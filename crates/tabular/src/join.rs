@@ -10,9 +10,10 @@
 
 use std::collections::HashMap;
 
-use crate::column::{Column, EncodedColumn};
+use crate::column::Column;
 use crate::dataframe::DataFrame;
 use crate::error::Result;
+use crate::storage::EncodedColumn;
 use crate::value::Value;
 
 /// Join flavours.

@@ -49,7 +49,7 @@ pub mod value;
 pub use aggregate::AggFn;
 pub use binning::{bin_column, bin_frame_encoded, bin_joined, quantile, BinStrategy};
 pub use bitmap::Bitmap;
-pub use column::{Column, ColumnData, EncodedColumn};
+pub use column::{Column, ColumnData};
 pub use csv::{read_csv, read_csv_str, write_csv, write_csv_str};
 pub use dataframe::{DataFrame, DataFrameBuilder};
 pub use error::{Result, TabularError};
@@ -57,7 +57,5 @@ pub use expr::Predicate;
 pub use groupby::{group_aggregate, group_by, Group};
 pub use join::{join, join_name, join_rendered, join_rows, JoinKind};
 pub use query::AggregateQuery;
-pub use storage::{
-    Access, Codes, ColumnView, Encoding, EncodingChoice, Run, RunIter, SealedColumn,
-};
+pub use storage::{Access, Codes, EncodedColumn, Encoding, EncodingChoice, Run, RunIter};
 pub use value::{parse_token, DType, Value};

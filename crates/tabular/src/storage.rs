@@ -1,16 +1,15 @@
-//! Compressed, immutable ("sealed") column storage.
+//! Encoded columns and their compressed ("sealed") layouts.
 //!
-//! The column layer has a two-state lifecycle:
-//!
-//! * **Mutable** — [`EncodedColumn`]: dense `Vec<u32>` codes plus a validity
-//!   bitmap. Cheap to build incrementally and to index; this is the state
-//!   every encoding and binning pass produces.
-//! * **Sealed** — [`SealedColumn`]: the same logical content re-encoded into
-//!   the smallest of several physical layouts, chosen per column by
-//!   [`EncodedColumn::seal`]. A sealed column is immutable, usually several
-//!   times smaller, and exposes its codes through [`Access`]: as a slice of
-//!   `u8`, `u16` or `u32` codes, or as a [run iterator](RunIter). The
-//!   counting kernel folds both without decoding.
+//! [`EncodedColumn`] is the one discrete column type: a validity bitmap, a
+//! label per code, and the per-row codes in one of several physical
+//! layouts. Encoding and binning produce the dense layout, one `u32` slot
+//! per row, which is cheap to build and to index.
+//! [`EncodedColumn::seal`] re-lays the codes out in the smallest layout the
+//! column admits and records the decision; the column keeps its type, its
+//! validity and its labels, so every consumer takes `&EncodedColumn`
+//! whatever its layout. The counting kernel reads the codes through
+//! [`Access`]: as a slice of `u8`, `u16` or `u32` codes, or as a [run
+//! iterator](RunIter), without decoding.
 //!
 //! Every layout is one the kernel reads as it is stored; none packs codes
 //! below a byte, so no fold unpacks bits (compress only in forms execution
@@ -19,41 +18,33 @@
 //! * [`Encoding::RunLength`] — `(value, cumulative end)` run pairs; wins on
 //!   sorted or grouped code streams whose runs are long enough to pay 8
 //!   bytes each.
-//! * [`Encoding::Delta`] — first value plus one `u8` or `u16` delta per row;
-//!   wins on sorted keys with more than 256 codes, where consecutive codes
-//!   are close even though the codes themselves are wide. Only applicable
-//!   to fully observed, non-decreasing code streams.
 //! * [`Encoding::Narrow`] — one byte-aligned code per row: a `u8` when the
 //!   column has at most 256 codes, a `u16` when it has at most 65,536;
 //!   wins on shuffled streams, where runs are short but 32 bits per code is
 //!   overkill.
-//! * [`Encoding::Dense`] — the mutable layout kept verbatim; the fallback
-//!   when nothing else is smaller.
+//! * [`Encoding::Dense`] — the layout encoding produces, kept verbatim; the
+//!   fallback when nothing else is smaller.
 //!
 //! The selection rule is "smallest encoded payload", with a deterministic
-//! tie-break in the order above (RLE, delta, narrow, dense): run-iterable
-//! layouts first, since the kernel folds a whole run at once. The decision
+//! tie-break in the order above (RLE, narrow, dense): the run-iterable
+//! layout first, since the kernel folds a whole run at once. The decision
 //! and the byte counts are recorded per column in [`EncodingChoice`] so
 //! compression ratios are measurable, not anecdotal.
 
 use std::borrow::Cow;
 
 use crate::bitmap::Bitmap;
-use crate::column::EncodedColumn;
 
-/// The physical layout of a sealed column's codes.
+/// The physical layout of a column's codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Encoding {
-    /// Dense `Vec<u32>`, one slot per row (the mutable layout, kept when
-    /// nothing smaller applies).
+    /// Dense `Vec<u32>`, one slot per row (the layout encoding produces,
+    /// kept by sealing when nothing smaller applies).
     Dense,
     /// Run-length encoding: `(value, cumulative exclusive end)` pairs.
     RunLength,
     /// One `u8` or `u16` code per row.
     Narrow,
-    /// First value plus one `u8` or `u16` delta per row (sorted, fully
-    /// observed streams).
-    Delta,
 }
 
 impl Encoding {
@@ -63,36 +54,36 @@ impl Encoding {
             Encoding::Dense => "dense",
             Encoding::RunLength => "rle",
             Encoding::Narrow => "narrow",
-            Encoding::Delta => "delta",
         }
     }
 }
 
-/// Why a sealed column looks the way it does: the chosen encoding and the
-/// byte counts that drove the choice. Byte counts cover the code payload only
-/// (the validity bitmap and the label dictionary are identical in both
-/// states and excluded from the comparison).
+/// Why a column's codes are laid out the way they are: the chosen encoding
+/// and the byte counts that drove the choice. Byte counts cover the code
+/// payload only (the validity bitmap and the label dictionary do not change
+/// with the layout and are excluded from the comparison).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncodingChoice {
     /// The encoding the heuristic selected.
     pub encoding: Encoding,
-    /// Bytes of the dense (mutable) code vector: `4 · rows`.
+    /// Bytes of the dense code vector: `4 · rows`.
     pub dense_bytes: usize,
     /// Bytes of the selected encoding's code payload.
     pub sealed_bytes: usize,
-    /// Number of maximal equal-code runs in the stream (the RLE cost driver).
+    /// Number of maximal equal-code runs in the stream (RLE pays 8 bytes
+    /// per run); 0 for a column that was never sealed.
     pub n_runs: usize,
 }
 
-/// Per-row codes as one slice of `u8`, `u16` or `u32`: a sealed narrow
-/// column's stored width, or the four-byte codes of a dense column.
+/// Per-row codes as one slice of `u8`, `u16` or `u32`: a narrow column's
+/// stored width, or the four-byte codes of a dense column.
 #[derive(Debug, Clone, Copy)]
 pub enum Codes<'a> {
-    /// One byte per row (sealed narrow columns of at most 256 codes).
+    /// One byte per row (narrow columns of at most 256 codes).
     U8(&'a [u8]),
-    /// Two bytes per row (sealed narrow columns of at most 65,536 codes).
+    /// Two bytes per row (narrow columns of at most 65,536 codes).
     U16(&'a [u16]),
-    /// Four bytes per row (mutable and sealed-dense columns).
+    /// Four bytes per row (dense columns).
     U32(&'a [u32]),
 }
 
@@ -135,64 +126,18 @@ impl Codes<'_> {
     }
 }
 
-/// Bytes per value of the narrowest layout that holds values up to `max`:
-/// 1 or 2, or `None` when `max` needs more than 16 bits.
-fn narrow_width(max: u32) -> Option<usize> {
-    if max <= u32::from(u8::MAX) {
-        Some(1)
-    } else if max <= u32::from(u16::MAX) {
-        Some(2)
-    } else {
-        None
-    }
-}
-
-/// Owned byte-aligned values: the payload of narrow and delta columns.
+/// The physical storage of a column's codes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum NarrowInts {
-    U8(Vec<u8>),
-    U16(Vec<u16>),
-}
-
-impl NarrowInts {
-    /// Stores `values`, none above `max`, one per byte when `max` fits a
-    /// byte and in two bytes otherwise. The sealer only calls it when
-    /// [`narrow_width`] of `max` is `Some`.
-    fn pack(values: impl Iterator<Item = u32>, max: u32) -> NarrowInts {
-        // The casts are exact: no value exceeds `max`, which fits the type.
-        if max <= u32::from(u8::MAX) {
-            NarrowInts::U8(values.map(|v| v as u8).collect())
-        } else {
-            assert!(max <= u32::from(u16::MAX), "{max} needs more than 16 bits");
-            NarrowInts::U16(values.map(|v| v as u16).collect())
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.codes().len()
-    }
-
-    fn codes(&self) -> Codes<'_> {
-        match self {
-            NarrowInts::U8(v) => Codes::U8(v),
-            NarrowInts::U16(v) => Codes::U16(v),
-        }
-    }
-}
-
-/// The physical code storage of a [`SealedColumn`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum SealedCodes {
-    /// Dense codes kept verbatim.
+enum Layout {
+    /// One `u32` code per row.
     Dense(Vec<u32>),
+    /// One byte per row.
+    U8(Vec<u8>),
+    /// Two bytes per row.
+    U16(Vec<u16>),
     /// Run-length pairs: `values[k]` repeats over rows
     /// `ends[k-1]..ends[k]` (with `ends[-1]` = 0).
     Rle { values: Vec<u32>, ends: Vec<u32> },
-    /// One byte-aligned code per row.
-    Narrow(NarrowInts),
-    /// `first` plus byte-aligned `deltas`, where `deltas[i]` (for `i >= 1`)
-    /// is `code[i] - code[i-1]` and `deltas[0]` is 0.
-    Delta { first: u32, deltas: NarrowInts },
 }
 
 /// One maximal run of equal codes: `value` over rows `start..end`.
@@ -215,11 +160,6 @@ enum RunIterInner<'a> {
         values: &'a [u32],
         ends: &'a [u32],
         idx: usize,
-    },
-    Delta {
-        deltas: Codes<'a>,
-        value: u32,
-        pos: usize,
     },
 }
 
@@ -265,166 +205,137 @@ impl Iterator for RunIter<'_> {
                 *idx += 1;
                 Some(run)
             }
-            RunIterInner::Delta { deltas, value, pos } => {
-                if *pos >= deltas.len() {
-                    return None;
-                }
-                let start = *pos;
-                let v = *value;
-                // The run ends at the next non-zero delta.
-                *pos = deltas.end_of_run(start + 1, 0);
-                if *pos < deltas.len() {
-                    *value = v.wrapping_add(deltas.get(*pos));
-                }
-                Some(Run {
-                    value: v,
-                    start,
-                    end: *pos,
-                })
-            }
         }
     }
 }
 
 /// How the counting kernel reads a column: the access path that is free for
-/// the column's physical layout.
+/// the column's layout.
 pub enum Access<'a> {
-    /// Per-row codes are available as a slice (mutable columns and sealed
-    /// dense and narrow columns).
+    /// Per-row codes are available as a slice (dense and narrow layouts).
     Codes(Codes<'a>),
-    /// The column is cheapest to read run-at-a-time (sealed RLE and delta
-    /// columns).
+    /// The column is cheapest to read run-at-a-time (the RLE layout).
     Runs(RunIter<'a>),
 }
 
-/// An immutable, compressed encoded column: the sealed state of the
-/// mutable → sealed lifecycle. Produced by [`EncodedColumn::seal`]; logically
-/// identical to the column it was sealed from ([`SealedColumn::decode`]
-/// round-trips exactly), physically stored in the per-column
-/// [`Encoding`] the selection heuristic picked.
+/// The discrete encoding of a column: per-row codes, a validity bitmap
+/// marking which rows are non-null, and the label of each code.
+///
+/// The validity lives in a separate [`Bitmap`] instead of `Option` per
+/// cell, which lets the information-theoretic kernel compute the
+/// complete-case mask of a multi-column build with one word-wise bitmap
+/// `AND` per column. The codes are laid out densely (`u32` per row) until
+/// [`seal`](EncodedColumn::seal) picks a smaller layout (see the [module
+/// docs](crate::storage)); [`access`](EncodedColumn::access) and
+/// [`runs`](EncodedColumn::runs) read any layout in place. Code slots at
+/// invalid positions hold `0` and carry no meaning; use
+/// [`code_at`](EncodedColumn::code_at) or consult
+/// [`validity`](EncodedColumn::validity) before touching
+/// [`codes`](EncodedColumn::codes).
+///
+/// Invariant: every code at a valid position is `< cardinality`, where the
+/// cardinality (number of distinct non-null values present) always equals
+/// `labels.len()`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SealedColumn {
-    codes: SealedCodes,
+pub struct EncodedColumn {
+    layout: Layout,
     validity: Bitmap,
     labels: Vec<String>,
-    choice: EncodingChoice,
+    /// The sealing decision; `None` until [`seal`](EncodedColumn::seal) ran.
+    choice: Option<EncodingChoice>,
 }
 
 impl EncodedColumn {
-    /// Seals the column: re-encodes the codes into the smallest applicable
-    /// physical layout and freezes the result. See the [module
-    /// docs](crate::storage) for the encodings and the selection heuristic.
+    /// A dense, unsealed column from parts that already hold the invariant:
+    /// one code per validity bit, `0` in every invalid slot, every valid code
+    /// below `labels.len()`. [`Column::encode`](crate::Column::encode)
+    /// builds its output this way, without [`from_parts`]'s checks.
     ///
-    /// The validity bitmap and the label dictionary are carried over
-    /// unchanged; [`SealedColumn::decode`] reproduces a column equal to
-    /// `self`.
-    pub fn seal(&self) -> SealedColumn {
-        let codes = self.codes();
-        let n = codes.len();
-        let max_code = u32::try_from(self.cardinality().saturating_sub(1)).unwrap_or(u32::MAX);
-
-        // One pass over adjacent pairs: the run count (the RLE cost driver),
-        // and whether the stream is sorted with its largest step (the delta
-        // cost driver; the step is garbage unless the stream is sorted).
-        let mut n_runs = usize::from(n > 0);
-        let mut sorted = true;
-        let mut max_delta = 0u32;
-        for w in codes.windows(2) {
-            n_runs += usize::from(w[0] != w[1]);
-            sorted &= w[0] <= w[1];
-            max_delta = max_delta.max(w[1].wrapping_sub(w[0]));
-        }
-
-        let dense_bytes = 4 * n;
-        let rle_bytes = 8 * n_runs;
-        let narrow_bytes = narrow_width(max_code).map_or(usize::MAX, |w| n * w);
-        // Delta requires a fully observed (word-level `all_set` check),
-        // non-decreasing stream whose steps fit 16 bits; the payload is the
-        // narrow deltas plus the first value.
-        let delta_bytes = if n > 0 && sorted && self.validity().all_set() {
-            narrow_width(max_delta).map_or(usize::MAX, |w| 4 + n * w)
-        } else {
-            usize::MAX
-        };
-
-        // Smallest payload wins; ties prefer run-iterable encodings (RLE,
-        // then delta), then narrow codes, with dense as the fallback — the
-        // kernel folds runs fastest, so at equal size the runnier layout is
-        // the better pick. The candidate order below is the documented
-        // tie-break: the first candidate achieving the minimum is chosen.
-        let candidates = [
-            (Encoding::RunLength, rle_bytes),
-            (Encoding::Delta, delta_bytes),
-            (Encoding::Narrow, narrow_bytes),
-            (Encoding::Dense, dense_bytes),
-        ];
-        let min_bytes = candidates.iter().map(|&(_, b)| b).min().expect("non-empty");
-        let best = *candidates
-            .iter()
-            .find(|&&(_, b)| b == min_bytes)
-            .expect("minimum exists");
-
-        let sealed_codes = match best.0 {
-            Encoding::Dense => SealedCodes::Dense(codes.to_vec()),
-            Encoding::RunLength => {
-                assert!(n <= u32::MAX as usize, "RLE run ends must fit in u32");
-                let mut values = Vec::with_capacity(n_runs);
-                let mut ends = Vec::with_capacity(n_runs);
-                let mut prev: Option<u32> = None;
-                for (i, &c) in codes.iter().enumerate() {
-                    if prev != Some(c) {
-                        if prev.is_some() {
-                            ends.push(i as u32);
-                        }
-                        values.push(c);
-                        prev = Some(c);
-                    }
-                }
-                if prev.is_some() {
-                    ends.push(n as u32);
-                }
-                SealedCodes::Rle { values, ends }
-            }
-            Encoding::Narrow => {
-                SealedCodes::Narrow(NarrowInts::pack(codes.iter().copied(), max_code))
-            }
-            Encoding::Delta => SealedCodes::Delta {
-                first: codes[0],
-                deltas: NarrowInts::pack(
-                    std::iter::once(0).chain(codes.windows(2).map(|w| w[1] - w[0])),
-                    max_delta,
-                ),
-            },
-        };
-
-        SealedColumn {
-            codes: sealed_codes,
-            validity: self.validity().clone(),
-            labels: self.labels().to_vec(),
-            choice: EncodingChoice {
-                encoding: best.0,
-                dense_bytes,
-                sealed_bytes: best.1,
-                n_runs,
-            },
+    /// [`from_parts`]: EncodedColumn::from_parts
+    pub(crate) fn from_dense(codes: Vec<u32>, validity: Bitmap, labels: Vec<String>) -> Self {
+        debug_assert_eq!(codes.len(), validity.len());
+        EncodedColumn {
+            layout: Layout::Dense(codes),
+            validity,
+            labels,
+            choice: None,
         }
     }
-}
 
-impl SealedColumn {
+    /// Builds an encoding from packed parts: one code slot per row and a
+    /// validity bitmap of the same length. Slots at invalid positions are
+    /// normalised to `0` so that equal encodings compare equal regardless of
+    /// what the caller left in the dead slots.
+    ///
+    /// # Panics
+    /// Panics if the bitmap length differs from the code count, or if a valid
+    /// slot holds a code `>= labels.len()`.
+    pub fn from_parts(mut codes: Vec<u32>, validity: Bitmap, labels: Vec<String>) -> Self {
+        assert_eq!(
+            codes.len(),
+            validity.len(),
+            "validity bitmap must have one bit per code slot"
+        );
+        let card = labels.len() as u32;
+        // One validity word per 64 rows: a fully observed block needs only
+        // its largest code checked; any other block is walked bit by bit.
+        for (w, (block, &word)) in codes.chunks_mut(64).zip(validity.words()).enumerate() {
+            if word == u64::MAX && block.iter().fold(0, |m, &c| m.max(c)) < card {
+                continue;
+            }
+            for (bit, code) in block.iter_mut().enumerate() {
+                if word >> bit & 1 == 0 {
+                    *code = 0;
+                } else {
+                    assert!(
+                        *code < card,
+                        "code {code} at row {} exceeds cardinality {card}",
+                        w * 64 + bit
+                    );
+                }
+            }
+        }
+        EncodedColumn::from_dense(codes, validity, labels)
+    }
+
+    /// Compatibility constructor from per-row optional codes (`None` =
+    /// missing). Call sites that used to fill `Vec<Option<u32>>` migrate here
+    /// mechanically.
+    ///
+    /// # Panics
+    /// Panics if a present code is `>= labels.len()`.
+    pub fn from_option_codes<I>(codes: I, labels: Vec<String>) -> Self
+    where
+        I: IntoIterator<Item = Option<u32>>,
+    {
+        let iter = codes.into_iter();
+        let hint = iter.size_hint().0;
+        let mut packed = Vec::with_capacity(hint);
+        let mut validity = Bitmap::with_capacity(hint);
+        for code in iter {
+            packed.push(code.unwrap_or(0));
+            validity.push(code.is_some());
+        }
+        EncodedColumn::from_parts(packed, validity, labels)
+    }
+
+    /// Builds a fully observed encoding (no missing rows).
+    ///
+    /// # Panics
+    /// Panics if a code is `>= labels.len()`.
+    pub fn from_codes(codes: Vec<u32>, labels: Vec<String>) -> Self {
+        let validity = Bitmap::new_all_set(codes.len());
+        EncodedColumn::from_parts(codes, validity, labels)
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
-        match &self.codes {
-            SealedCodes::Dense(v) => v.len(),
-            SealedCodes::Rle { ends, .. } => ends.last().map_or(0, |&e| e as usize),
-            SealedCodes::Narrow(v) => v.len(),
-            SealedCodes::Delta { deltas, .. } => deltas.len(),
-        }
+        self.validity.len()
     }
 
-    /// Whether the column has no rows.
+    /// Whether the encoding has no rows.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.validity.is_empty()
     }
 
     /// Number of distinct codes (equal to the number of labels).
@@ -469,276 +380,184 @@ impl SealedColumn {
         self.validity.count_set()
     }
 
-    /// The physical encoding the sealer selected.
-    pub fn encoding(&self) -> Encoding {
-        self.choice.encoding
-    }
-
-    /// The recorded selection decision and byte accounting.
-    pub fn choice(&self) -> &EncodingChoice {
-        &self.choice
-    }
-
-    /// Bytes of the code payload in the sealed layout.
-    pub fn code_bytes(&self) -> usize {
-        self.choice.sealed_bytes
-    }
-
     /// The code of row `i`, or `None` when the row is null.
     ///
-    /// Random access costs depend on the layout: O(1) for dense and narrow,
-    /// O(log runs) for RLE, O(i) for delta (sequential prefix sum) —
+    /// O(1) for the dense and narrow layouts, O(log runs) for RLE;
     /// consumers that walk many rows should use
-    /// [`access`](SealedColumn::access) or [`runs`](SealedColumn::runs)
+    /// [`access`](EncodedColumn::access) or [`runs`](EncodedColumn::runs)
     /// instead.
     ///
     /// # Panics
     /// Panics if `i >= len`.
+    #[inline]
     pub fn code_at(&self, i: usize) -> Option<u32> {
         if !self.validity.get(i) {
             return None;
         }
-        Some(self.raw_code_at(i))
+        Some(match &self.layout {
+            Layout::Dense(codes) => codes[i],
+            Layout::U8(codes) => u32::from(codes[i]),
+            Layout::U16(codes) => u32::from(codes[i]),
+            Layout::Rle { values, ends } => values[ends.partition_point(|&e| e as usize <= i)],
+        })
     }
 
-    /// The stored code of row `i`, ignoring validity (null slots hold 0).
-    fn raw_code_at(&self, i: usize) -> u32 {
-        match &self.codes {
-            SealedCodes::Dense(v) => v[i],
-            SealedCodes::Rle { values, ends } => {
-                let k = ends.partition_point(|&e| e as usize <= i);
-                values[k]
-            }
-            SealedCodes::Narrow(v) => v.codes().get(i),
-            SealedCodes::Delta { first, deltas } => {
-                let deltas = deltas.codes();
-                (1..=i).fold(*first, |v, j| v.wrapping_add(deltas.get(j)))
-            }
-        }
+    /// Iterates all rows as optional codes, in row order.
+    pub fn iter_codes(&self) -> impl Iterator<Item = Option<u32>> + '_ {
+        (0..self.len()).map(move |i| self.code_at(i))
     }
 
-    /// Iterates the maximal equal-code runs of the column, in row order.
-    /// Available for every layout (dense and narrow columns group equal
-    /// adjacent codes on the fly; RLE and delta read their stored runs).
-    pub fn runs(&self) -> RunIter<'_> {
-        let inner = match &self.codes {
-            SealedCodes::Dense(v) => RunIterInner::Slice {
-                codes: Codes::U32(v),
-                pos: 0,
-            },
-            SealedCodes::Rle { values, ends } => RunIterInner::Rle {
-                values,
-                ends,
-                idx: 0,
-            },
-            SealedCodes::Narrow(v) => RunIterInner::Slice {
-                codes: v.codes(),
-                pos: 0,
-            },
-            SealedCodes::Delta { first, deltas } => RunIterInner::Delta {
-                deltas: deltas.codes(),
-                value: *first,
-                pos: 0,
-            },
-        };
-        RunIter { inner }
-    }
-
-    /// How the counting kernel should read this column (see [`Access`]).
-    pub fn access(&self) -> Access<'_> {
-        match &self.codes {
-            SealedCodes::Dense(v) => Access::Codes(Codes::U32(v)),
-            SealedCodes::Narrow(v) => Access::Codes(v.codes()),
-            SealedCodes::Rle { .. } | SealedCodes::Delta { .. } => Access::Runs(self.runs()),
-        }
-    }
-
-    /// Decodes the full per-row code vector (null slots hold 0, as in the
-    /// mutable layout).
-    pub fn decode_codes(&self) -> Vec<u32> {
-        match &self.codes {
-            SealedCodes::Dense(v) => v.clone(),
-            SealedCodes::Rle { values, ends } => {
+    /// The per-row codes: zero-copy for the dense layout, a one-shot decode
+    /// (narrow codes widened, runs expanded) for every other. Null slots
+    /// hold 0.
+    pub fn codes(&self) -> Cow<'_, [u32]> {
+        match &self.layout {
+            Layout::Dense(codes) => Cow::Borrowed(codes),
+            Layout::U8(codes) => Cow::Owned(codes.iter().map(|&c| u32::from(c)).collect()),
+            Layout::U16(codes) => Cow::Owned(codes.iter().map(|&c| u32::from(c)).collect()),
+            Layout::Rle { values, ends } => {
                 let mut out = Vec::with_capacity(self.len());
                 for (&v, &e) in values.iter().zip(ends) {
                     out.resize(e as usize, v);
                 }
-                out
+                Cow::Owned(out)
             }
-            SealedCodes::Narrow(NarrowInts::U8(v)) => v.iter().map(|&c| u32::from(c)).collect(),
-            SealedCodes::Narrow(NarrowInts::U16(v)) => v.iter().map(|&c| u32::from(c)).collect(),
-            SealedCodes::Delta { first, deltas } => {
-                // `deltas[0]` is 0, so the running sum starts at `first`.
-                let deltas = deltas.codes();
-                let mut v = *first;
-                (0..deltas.len())
-                    .map(|i| {
-                        v = v.wrapping_add(deltas.get(i));
-                        v
-                    })
-                    .collect()
-            }
-        }
-    }
-
-    /// Unseals the column back to the mutable state. The result is equal
-    /// (by `==`) to the column [`seal`](EncodedColumn::seal) was called on.
-    pub fn decode(&self) -> EncodedColumn {
-        EncodedColumn::from_parts(
-            self.decode_codes(),
-            self.validity.clone(),
-            self.labels.clone(),
-        )
-    }
-}
-
-/// A borrowed view over a column in either lifecycle state — the unified
-/// currency consumers (the counting kernel, the frame-level measures, the
-/// IPW machinery) accept so they work identically on mutable and sealed
-/// columns.
-#[derive(Clone, Copy)]
-pub enum ColumnView<'a> {
-    /// A mutable (dense) column.
-    Plain(&'a EncodedColumn),
-    /// A sealed (compressed) column.
-    Sealed(&'a SealedColumn),
-}
-
-impl<'a> From<&'a EncodedColumn> for ColumnView<'a> {
-    fn from(c: &'a EncodedColumn) -> Self {
-        ColumnView::Plain(c)
-    }
-}
-
-impl<'a> From<&'a SealedColumn> for ColumnView<'a> {
-    fn from(c: &'a SealedColumn) -> Self {
-        ColumnView::Sealed(c)
-    }
-}
-
-impl<'a> ColumnView<'a> {
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        match self {
-            ColumnView::Plain(c) => c.len(),
-            ColumnView::Sealed(c) => c.len(),
-        }
-    }
-
-    /// Whether the column has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of distinct codes (equal to the number of labels).
-    pub fn cardinality(&self) -> usize {
-        match self {
-            ColumnView::Plain(c) => c.cardinality(),
-            ColumnView::Sealed(c) => c.cardinality(),
-        }
-    }
-
-    /// Human-readable label for each code, indexed by code.
-    pub fn labels(&self) -> &'a [String] {
-        match self {
-            ColumnView::Plain(c) => c.labels(),
-            ColumnView::Sealed(c) => c.labels(),
-        }
-    }
-
-    /// The label of one code.
-    ///
-    /// # Panics
-    /// Panics if `code >= cardinality`.
-    pub fn label(&self, code: u32) -> &'a str {
-        &self.labels()[code as usize]
-    }
-
-    /// The validity bitmap: bit `i` set ⇔ row `i` is non-null.
-    pub fn validity(&self) -> &'a Bitmap {
-        match self {
-            ColumnView::Plain(c) => c.validity(),
-            ColumnView::Sealed(c) => c.validity(),
-        }
-    }
-
-    /// Whether row `i` is non-null.
-    ///
-    /// # Panics
-    /// Panics if `i >= len`.
-    #[inline]
-    pub fn is_present(&self, i: usize) -> bool {
-        self.validity().get(i)
-    }
-
-    /// The code of row `i`, or `None` when the row is null. See
-    /// [`SealedColumn::code_at`] for per-layout costs.
-    ///
-    /// # Panics
-    /// Panics if `i >= len`.
-    pub fn code_at(&self, i: usize) -> Option<u32> {
-        match self {
-            ColumnView::Plain(c) => c.code_at(i),
-            ColumnView::Sealed(c) => c.code_at(i),
-        }
-    }
-
-    /// Number of null rows.
-    pub fn null_count(&self) -> usize {
-        self.validity().count_unset()
-    }
-
-    /// Number of non-null rows.
-    pub fn n_present(&self) -> usize {
-        self.validity().count_set()
-    }
-
-    /// Whether the underlying column is sealed.
-    pub fn is_sealed(&self) -> bool {
-        matches!(self, ColumnView::Sealed(_))
-    }
-
-    /// The physical encoding (mutable columns report [`Encoding::Dense`]).
-    pub fn encoding(&self) -> Encoding {
-        match self {
-            ColumnView::Plain(_) => Encoding::Dense,
-            ColumnView::Sealed(c) => c.encoding(),
-        }
-    }
-
-    /// The per-row codes: zero-copy for mutable and sealed-dense columns, a
-    /// one-shot decode (narrow codes widened) for every other layout. Null
-    /// slots hold 0.
-    pub fn codes(&self) -> Cow<'a, [u32]> {
-        match self {
-            ColumnView::Plain(c) => Cow::Borrowed(c.codes()),
-            ColumnView::Sealed(c) => match &c.codes {
-                SealedCodes::Dense(v) => Cow::Borrowed(v.as_slice()),
-                _ => Cow::Owned(c.decode_codes()),
-            },
-        }
-    }
-
-    /// Iterates the maximal equal-code runs of the column, in row order
-    /// (mutable columns group equal adjacent codes on the fly).
-    pub fn runs(&self) -> RunIter<'a> {
-        match self {
-            ColumnView::Plain(c) => RunIter {
-                inner: RunIterInner::Slice {
-                    codes: Codes::U32(c.codes()),
-                    pos: 0,
-                },
-            },
-            ColumnView::Sealed(c) => c.runs(),
         }
     }
 
     /// How the counting kernel should read this column (see [`Access`]).
-    pub fn access(&self) -> Access<'a> {
-        match self {
-            ColumnView::Plain(c) => Access::Codes(Codes::U32(c.codes())),
-            ColumnView::Sealed(c) => c.access(),
+    pub fn access(&self) -> Access<'_> {
+        match &self.layout {
+            Layout::Dense(codes) => Access::Codes(Codes::U32(codes)),
+            Layout::U8(codes) => Access::Codes(Codes::U8(codes)),
+            Layout::U16(codes) => Access::Codes(Codes::U16(codes)),
+            Layout::Rle { values, ends } => Access::Runs(RunIter {
+                inner: RunIterInner::Rle {
+                    values,
+                    ends,
+                    idx: 0,
+                },
+            }),
         }
+    }
+
+    /// Iterates the maximal equal-code runs of the column, in row order.
+    /// Available for every layout (slice layouts group equal adjacent codes
+    /// on the fly; RLE reads its stored runs).
+    pub fn runs(&self) -> RunIter<'_> {
+        match self.access() {
+            Access::Codes(codes) => RunIter {
+                inner: RunIterInner::Slice { codes, pos: 0 },
+            },
+            Access::Runs(runs) => runs,
+        }
+    }
+
+    /// Whether [`seal`](EncodedColumn::seal) has chosen this column's
+    /// layout.
+    pub fn is_sealed(&self) -> bool {
+        self.choice.is_some()
+    }
+
+    /// The layout of the codes ([`Encoding::Dense`] until sealed).
+    pub fn encoding(&self) -> Encoding {
+        self.choice().encoding
+    }
+
+    /// The recorded sealing decision and byte accounting. A column that was
+    /// never sealed reports the dense layout, no compression and no runs
+    /// counted.
+    pub fn choice(&self) -> EncodingChoice {
+        self.choice.unwrap_or(EncodingChoice {
+            encoding: Encoding::Dense,
+            dense_bytes: 4 * self.len(),
+            sealed_bytes: 4 * self.len(),
+            n_runs: 0,
+        })
+    }
+
+    /// Seals the column: re-lays its codes out in the smallest applicable
+    /// layout and records the decision. See the [module docs](crate::storage)
+    /// for the encodings and the selection heuristic. Sealing a sealed
+    /// column returns it unchanged.
+    ///
+    /// The validity bitmap and the label dictionary move over unchanged;
+    /// [`decode`](EncodedColumn::decode) reproduces a column equal to
+    /// `self`.
+    pub fn seal(self) -> EncodedColumn {
+        // An unsealed column is always dense; a sealed one keeps its layout.
+        let (Layout::Dense(codes), None) = (&self.layout, self.choice) else {
+            return self;
+        };
+        let n = codes.len();
+        let max_code = u32::try_from(self.cardinality().saturating_sub(1)).unwrap_or(u32::MAX);
+        let n_runs = usize::from(n > 0) + codes.windows(2).filter(|w| w[0] != w[1]).count();
+        let dense_bytes = 4 * n;
+        let narrow_bytes = if max_code <= u32::from(u8::MAX) {
+            n
+        } else if max_code <= u32::from(u16::MAX) {
+            2 * n
+        } else {
+            usize::MAX
+        };
+
+        // Smallest payload wins; ties prefer RLE, then narrow codes, with
+        // dense as the fallback — the kernel folds runs fastest, so at equal
+        // size the runnier layout is the better pick. The candidate order is
+        // the documented tie-break: `min_by_key` keeps the first minimum.
+        let (encoding, sealed_bytes) = [
+            (Encoding::RunLength, 8 * n_runs),
+            (Encoding::Narrow, narrow_bytes),
+            (Encoding::Dense, dense_bytes),
+        ]
+        .into_iter()
+        .min_by_key(|&(_, bytes)| bytes)
+        .unwrap_or((Encoding::Dense, dense_bytes));
+
+        // The narrow casts are exact: every slot holds at most `max_code`.
+        let layout = match encoding {
+            Encoding::RunLength => {
+                assert!(n <= u32::MAX as usize, "RLE run ends must fit in u32");
+                let mut values = Vec::with_capacity(n_runs);
+                let mut ends = Vec::with_capacity(n_runs);
+                for (i, w) in codes.windows(2).enumerate() {
+                    if w[0] != w[1] {
+                        values.push(w[0]);
+                        ends.push(i as u32 + 1);
+                    }
+                }
+                if let Some(&last) = codes.last() {
+                    values.push(last);
+                    ends.push(n as u32);
+                }
+                Layout::Rle { values, ends }
+            }
+            Encoding::Narrow if max_code <= u32::from(u8::MAX) => {
+                Layout::U8(codes.iter().map(|&c| c as u8).collect())
+            }
+            Encoding::Narrow => Layout::U16(codes.iter().map(|&c| c as u16).collect()),
+            Encoding::Dense => self.layout,
+        };
+        EncodedColumn {
+            layout,
+            choice: Some(EncodingChoice {
+                encoding,
+                dense_bytes,
+                sealed_bytes,
+                n_runs,
+            }),
+            ..self
+        }
+    }
+
+    /// The dense, unsealed column with the same content: equal (by `==`) to
+    /// the column [`seal`](EncodedColumn::seal) was called on.
+    pub fn decode(&self) -> EncodedColumn {
+        EncodedColumn::from_dense(
+            self.codes().into_owned(),
+            self.validity.clone(),
+            self.labels.clone(),
+        )
     }
 }
 
@@ -752,9 +571,40 @@ mod tests {
     }
 
     #[test]
+    fn constructors_agree() {
+        let labels = vec!["a".to_string(), "b".to_string()];
+        let from_opts =
+            EncodedColumn::from_option_codes(vec![Some(0), None, Some(1), Some(0)], labels.clone());
+        let from_parts = EncodedColumn::from_parts(
+            vec![0, 0, 1, 0],
+            [true, false, true, true].into_iter().collect(),
+            labels.clone(),
+        );
+        assert_eq!(from_opts, from_parts);
+        assert_eq!(from_opts.cardinality(), 2);
+        let full = EncodedColumn::from_codes(vec![0, 1, 1], labels);
+        assert_eq!(full.null_count(), 0);
+        assert_eq!(full.code_at(2), Some(1));
+        assert!(!full.is_sealed());
+        assert_eq!(full.encoding(), Encoding::Dense);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds cardinality")]
+    fn rejects_out_of_range_codes() {
+        EncodedColumn::from_codes(vec![0, 2], vec!["only".to_string()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one bit per code slot")]
+    fn rejects_length_mismatch() {
+        EncodedColumn::from_parts(vec![0], Bitmap::new_all_set(2), vec!["a".to_string()]);
+    }
+
+    #[test]
     fn seal_constant_column_is_rle() {
         let c = enc(&[Some("x"); 500]);
-        let s = c.seal();
+        let s = c.clone().seal();
         assert_eq!(s.encoding(), Encoding::RunLength);
         assert_eq!(s.choice().n_runs, 1);
         assert_eq!(s.choice().dense_bytes, 2000);
@@ -777,7 +627,7 @@ mod tests {
             .map(|i| Some(format!("v{}", (i * 7) % 6)))
             .collect();
         let c = Column::from_str_values("c", vals.iter().map(|v| v.as_deref()).collect()).encode();
-        let s = c.seal();
+        let s = c.clone().seal();
         assert_eq!(s.encoding(), Encoding::Narrow);
         // 6 distinct values -> one byte per code, a quarter of dense
         assert_eq!(s.choice().sealed_bytes, 1000);
@@ -787,15 +637,16 @@ mod tests {
     }
 
     #[test]
-    fn seal_sorted_keys_is_delta() {
-        // A sorted integer key with 1000 distinct codes: narrow codes need
-        // two bytes per row, deltas one.
+    fn seal_sorted_keys_is_narrow() {
+        // A sorted integer key with 1000 distinct codes: every run is one
+        // row long, so two bytes per row of narrow codes beat RLE's eight.
         let codes: Vec<u32> = (0..1000).collect();
         let labels: Vec<String> = codes.iter().map(|c| c.to_string()).collect();
         let c = EncodedColumn::from_codes(codes, labels);
-        let s = c.seal();
-        assert_eq!(s.encoding(), Encoding::Delta);
-        assert_eq!(s.choice().sealed_bytes, 4 + 1000);
+        let s = c.clone().seal();
+        assert_eq!(s.encoding(), Encoding::Narrow);
+        assert_eq!(s.choice().sealed_bytes, 2000);
+        assert!(matches!(s.access(), Access::Codes(Codes::U16(_))));
         assert_eq!(s.decode(), c);
         assert_eq!(s.runs().count(), 1000);
         assert_eq!(s.code_at(423), Some(423));
@@ -804,14 +655,15 @@ mod tests {
     #[test]
     fn seal_wide_shuffled_column_stays_dense() {
         // 65,537 distinct codes in shuffled order: narrow codes cannot hold
-        // them, delta needs a sorted stream and RLE pays 8 bytes per row, so
-        // the dense fallback is the minimum.
+        // them and RLE pays 8 bytes per row, so the dense fallback is the
+        // minimum.
         const N: u32 = 65_537;
         let codes: Vec<u32> = (0..N).map(|i| (i * 7919) % N).collect();
         let labels: Vec<String> = (0..N).map(|c| c.to_string()).collect();
         let c = EncodedColumn::from_codes(codes, labels);
-        let s = c.seal();
+        let s = c.clone().seal();
         assert_eq!(s.encoding(), Encoding::Dense);
+        assert!(s.is_sealed());
         assert_eq!(s.choice().dense_bytes, 4 * N as usize);
         assert_eq!(s.choice().sealed_bytes, 4 * N as usize);
         assert!(matches!(s.access(), Access::Codes(Codes::U32(_))));
@@ -825,17 +677,9 @@ mod tests {
         // run-iterable layout.
         let vals: Vec<Option<&str>> = (0..16).map(|i| Some(["x", "y"][i / 8])).collect();
         let c = enc(&vals);
-        let s = c.seal();
+        let s = c.clone().seal();
         assert_eq!(s.choice().sealed_bytes, 16);
         assert_eq!(s.encoding(), Encoding::RunLength);
-        assert_eq!(s.decode(), c);
-        // Four sorted codes out of 300: delta (4 + one byte per row) ties
-        // two bytes per row of narrow codes, and delta comes first.
-        let labels: Vec<String> = (0..300).map(|c| c.to_string()).collect();
-        let c = EncodedColumn::from_codes(vec![0, 1, 2, 3], labels);
-        let s = c.seal();
-        assert_eq!(s.choice().sealed_bytes, 8);
-        assert_eq!(s.encoding(), Encoding::Delta);
         assert_eq!(s.decode(), c);
     }
 
@@ -851,7 +695,7 @@ mod tests {
             Some("b"),
             Some("b"),
         ]);
-        let s = c.seal();
+        let s = c.clone().seal();
         assert_eq!(s.decode(), c);
         assert_eq!(s.null_count(), 3);
         assert_eq!(s.n_present(), 5);
@@ -860,9 +704,16 @@ mod tests {
     }
 
     #[test]
+    fn seal_is_idempotent() {
+        let s = enc(&[Some("a"), Some("b"), Some("a")]).seal();
+        assert!(s.is_sealed());
+        assert_eq!(s.clone().seal(), s);
+    }
+
+    #[test]
     fn empty_column_seals() {
         let c = enc(&[]);
-        let s = c.seal();
+        let s = c.clone().seal();
         assert_eq!(s.len(), 0);
         assert!(s.is_empty());
         assert_eq!(s.decode(), c);
@@ -875,7 +726,7 @@ mod tests {
         // wins and `code_at` goes through the binary search.
         let vals: Vec<Option<&str>> = (0..300).map(|i| Some(["a", "b", "c"][i / 100])).collect();
         let c = enc(&vals);
-        let s = c.seal();
+        let s = c.clone().seal();
         assert_eq!(s.encoding(), Encoding::RunLength);
         for i in (0..c.len()).step_by(7) {
             assert_eq!(s.code_at(i), c.code_at(i), "row {i}");
@@ -896,10 +747,7 @@ mod tests {
             _ => panic!("257 codes must seal to u16 narrow codes"),
         }
         let plain = enc(&[Some("a")]);
-        assert!(matches!(
-            ColumnView::from(&plain).access(),
-            Access::Codes(Codes::U32(_))
-        ));
+        assert!(matches!(plain.access(), Access::Codes(Codes::U32(_))));
         let rle = enc(&[Some("a"); 100]).seal();
         match rle.access() {
             Access::Runs(mut runs) => {
@@ -918,36 +766,9 @@ mod tests {
     }
 
     #[test]
-    fn column_view_uniform_over_states() {
-        let c = enc(&[Some("a"), Some("a"), None, Some("b"), Some("b"), Some("b")]);
-        let s = c.seal();
-        let pv = ColumnView::from(&c);
-        let sv = ColumnView::from(&s);
-        assert_eq!(pv.len(), sv.len());
-        assert_eq!(pv.cardinality(), sv.cardinality());
-        assert_eq!(pv.labels(), sv.labels());
-        assert_eq!(pv.null_count(), sv.null_count());
-        assert_eq!(pv.codes(), sv.codes());
-        assert!(!pv.is_sealed() && sv.is_sealed());
-        for i in 0..c.len() {
-            assert_eq!(pv.code_at(i), sv.code_at(i));
-        }
-        let pr: Vec<Run> = pv.runs().collect();
-        let sr: Vec<Run> = sv.runs().collect();
-        assert_eq!(pr, sr);
-        // runs partition 0..len
-        assert_eq!(pr.first().map(|r| r.start), Some(0));
-        assert_eq!(pr.last().map(|r| r.end), Some(c.len()));
-        for w in pr.windows(2) {
-            assert_eq!(w[0].end, w[1].start);
-        }
-    }
-
-    #[test]
     fn encoding_names_are_stable() {
         assert_eq!(Encoding::Dense.name(), "dense");
         assert_eq!(Encoding::RunLength.name(), "rle");
         assert_eq!(Encoding::Narrow.name(), "narrow");
-        assert_eq!(Encoding::Delta.name(), "delta");
     }
 }

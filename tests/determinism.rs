@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use mesa_repro::infotheory::{conditional_mutual_information, EncodedFrame, JointTable};
 use mesa_repro::mesa::baselines::brute_force;
 use mesa_repro::mesa::{mcimr, prepare_query, McimrConfig, PrepareConfig, PreparedQuery};
-use mesa_repro::tabular::{AggregateQuery, Column, ColumnView, DataFrameBuilder};
+use mesa_repro::tabular::{AggregateQuery, Column, DataFrameBuilder};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -37,11 +37,11 @@ fn sparse_entropy_is_bit_stable_across_independent_builds() {
     let x = shuffled_column("x", 60, 500, 7).encode();
     let y = shuffled_column("y", 60, 500, 8).encode();
     // Threshold 0 forces the sparse hash path.
-    let views = [ColumnView::from(&x), ColumnView::from(&y)];
-    let reference = JointTable::build_with_threshold(&views, None, 0).unwrap();
+    let columns = [&x, &y];
+    let reference = JointTable::build_with_threshold(&columns, None, 0).unwrap();
     assert!(!reference.is_dense());
     for _ in 0..5 {
-        let rebuilt = JointTable::build_with_threshold(&views, None, 0).unwrap();
+        let rebuilt = JointTable::build_with_threshold(&columns, None, 0).unwrap();
         assert_eq!(
             reference.entropy().to_bits(),
             rebuilt.entropy().to_bits(),
@@ -68,8 +68,7 @@ fn sparse_cmi_is_bit_stable_across_independent_builds() {
     let x = shuffled_column("x", 80, 400, 21).encode();
     let y = shuffled_column("y", 80, 400, 22).encode();
     let z = shuffled_column("z", 4, 400, 23).encode();
-    let cmi =
-        || conditional_mutual_information((&x).into(), (&y).into(), &[(&z).into()], None).unwrap();
+    let cmi = || conditional_mutual_information(&x, &y, &[&z], None).unwrap();
     let first = cmi();
     for _ in 0..5 {
         let again = cmi();
@@ -149,9 +148,9 @@ fn sparse_and_dense_paths_agree_on_the_shuffled_table() {
     // floating-point reassociation.
     let x = shuffled_column("x", 12, 600, 31).encode();
     let y = shuffled_column("y", 9, 600, 32).encode();
-    let views = [ColumnView::from(&x), ColumnView::from(&y)];
-    let dense = JointTable::build_with_threshold(&views, None, 1 << 20).unwrap();
-    let sparse = JointTable::build_with_threshold(&views, None, 0).unwrap();
+    let columns = [&x, &y];
+    let dense = JointTable::build_with_threshold(&columns, None, 1 << 20).unwrap();
+    let sparse = JointTable::build_with_threshold(&columns, None, 0).unwrap();
     assert!(dense.is_dense() && !sparse.is_dense());
     assert!((dense.entropy() - sparse.entropy()).abs() < 1e-12);
 }

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use mesa_repro::infotheory::JointTable;
-use mesa_repro::tabular::{ColumnView, EncodedColumn};
+use mesa_repro::tabular::EncodedColumn;
 
 /// Strategy: per-row cells as `(code, present)` pairs encoded in one integer:
 /// value `0` is a missing cell, `v >= 1` is code `v - 1`.
@@ -22,8 +22,7 @@ fn to_column(cells: &[u32], card: u32) -> EncodedColumn {
 /// The joint table of `cols` built with an explicit dense-cell threshold
 /// (`0` forces the sparse hash path).
 fn table(cols: &[&EncodedColumn], weights: Option<&[f64]>, dense_cells: usize) -> JointTable {
-    let views: Vec<ColumnView<'_>> = cols.iter().map(|&c| c.into()).collect();
-    JointTable::build_with_threshold(&views, weights, dense_cells).unwrap()
+    JointTable::build_with_threshold(cols, weights, dense_cells).unwrap()
 }
 
 /// Entropy of the joint table of `cols` built at the given threshold.

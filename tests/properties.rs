@@ -8,9 +8,7 @@ use mesa_repro::infotheory::{
     ci_test, ci_test_table, conditional_entropy, conditional_mutual_information, entropy,
     joint_entropy, mutual_information, CiTestConfig, JointTable,
 };
-use mesa_repro::tabular::{
-    bin_column, BinStrategy, Column, ColumnView, DataFrame, EncodedColumn, Value,
-};
+use mesa_repro::tabular::{bin_column, BinStrategy, Column, DataFrame, EncodedColumn, Value};
 
 /// Strategy: a small categorical column as integer codes in 0..card.
 fn coded_column(len: usize, card: u32) -> impl Strategy<Value = Vec<u32>> {
@@ -28,7 +26,7 @@ proptest! {
     #[test]
     fn entropy_bounds(codes in coded_column(60, 5)) {
         let x = to_encoded(&codes);
-        let h = entropy((&x).into(), None).unwrap();
+        let h = entropy(&x, None).unwrap();
         prop_assert!(h >= 0.0);
         prop_assert!(h <= (x.cardinality().max(1) as f64).log2() + 1e-9);
     }
@@ -41,12 +39,12 @@ proptest! {
     ) {
         let x = to_encoded(&xs);
         let y = to_encoded(&ys);
-        let ixy = mutual_information((&x).into(), (&y).into(), None).unwrap();
-        let iyx = mutual_information((&y).into(), (&x).into(), None).unwrap();
+        let ixy = mutual_information(&x, &y, None).unwrap();
+        let iyx = mutual_information(&y, &x, None).unwrap();
         prop_assert!((ixy - iyx).abs() < 1e-9);
         prop_assert!(ixy >= 0.0);
-        let hx = entropy((&x).into(), None).unwrap();
-        let hy = entropy((&y).into(), None).unwrap();
+        let hx = entropy(&x, None).unwrap();
+        let hy = entropy(&y, None).unwrap();
         prop_assert!(ixy <= hx.min(hy) + 1e-9);
     }
 
@@ -58,9 +56,9 @@ proptest! {
     ) {
         let x = to_encoded(&xs);
         let y = to_encoded(&ys);
-        let joint = joint_entropy(&[(&x).into(), (&y).into()], None).unwrap();
-        let chained = entropy((&x).into(), None).unwrap()
-            + conditional_entropy((&y).into(), &[(&x).into()], None).unwrap();
+        let joint = joint_entropy(&[&x, &y], None).unwrap();
+        let chained = entropy(&x, None).unwrap()
+            + conditional_entropy(&y, &[&x], None).unwrap();
         prop_assert!((joint - chained).abs() < 1e-9, "joint={joint}, chained={chained}");
     }
 
@@ -75,7 +73,7 @@ proptest! {
         let y = to_encoded(&ys);
         let z = to_encoded(&zs);
         let cmi = |given: &EncodedColumn| {
-            conditional_mutual_information((&x).into(), (&y).into(), &[given.into()], None).unwrap()
+            conditional_mutual_information(&x, &y, &[given], None).unwrap()
         };
         prop_assert!(cmi(&z) >= 0.0);
         prop_assert!(cmi(&x) < 1e-9);
@@ -91,8 +89,8 @@ proptest! {
         let x = to_encoded(&xs);
         let y = to_encoded(&ys);
         let w = vec![scale; xs.len()];
-        let unweighted = mutual_information((&x).into(), (&y).into(), None).unwrap();
-        let weighted = mutual_information((&x).into(), (&y).into(), Some(&w)).unwrap();
+        let unweighted = mutual_information(&x, &y, None).unwrap();
+        let weighted = mutual_information(&x, &y, Some(&w)).unwrap();
         prop_assert!((unweighted - weighted).abs() < 1e-9);
     }
 
@@ -147,9 +145,9 @@ proptest! {
 
     /// `ci_test` takes its CMI from the joint table it builds for the
     /// degrees of freedom: bit for bit the standalone CMI, and the G-test of
-    /// that table, over plain and sealed columns, weighted and unweighted
-    /// rows, 0–2 conditioning columns, nulls, all-null columns, and dense
-    /// and (at high cardinality) sparse tables.
+    /// that table, over dense-layout and sealed columns, weighted and
+    /// unweighted rows, 0–2 conditioning columns, nulls, all-null columns,
+    /// and dense and (at high cardinality) sparse tables.
     #[test]
     fn ci_test_cmi_is_the_standalone_cmi_bitwise(
         cells in prop::collection::vec(prop::collection::vec(0u32..=40, 60), 4),
@@ -169,19 +167,12 @@ proptest! {
                     // Cell 0 is missing; column `all_null` is missing throughout.
                     v.checked_sub(1).filter(|_| i != all_null).map(|c| c % card)
                 });
-                EncodedColumn::from_option_codes(codes, labels)
+                let col = EncodedColumn::from_option_codes(codes, labels);
+                // A mix of sealed and dense-layout columns.
+                if sealed_mask & (1 << i) != 0 { col.seal() } else { col }
             })
             .collect();
-        let sealed: Vec<_> = cols.iter().map(|c| c.seal()).collect();
-        let views: Vec<ColumnView<'_>> = (0..4)
-            .map(|i| {
-                if sealed_mask & (1 << i) != 0 {
-                    ColumnView::Sealed(&sealed[i])
-                } else {
-                    ColumnView::Plain(&cols[i])
-                }
-            })
-            .collect();
+        let views: Vec<&EncodedColumn> = cols.iter().collect();
         let weights = (weighted == 1).then_some(ws.as_slice());
         let config = CiTestConfig::default();
         let z = &views[2..2 + n_cond];

@@ -1,15 +1,16 @@
-//! Property tests for the sealed column storage layer: `seal → view/decode`
-//! must reproduce the mutable column exactly for every encoding and null
-//! pattern, and the kernel's production folds must produce **bit-identical**
-//! counts to the row-at-a-time reference fold — on shuffled
-//! (narrow-leaning) and adversarially runny (RLE-leaning) inputs alike, and
-//! at the boundaries of the narrow code widths.
+//! Property tests for the sealed column layouts: sealing must change an
+//! `EncodedColumn`'s layout and nothing else — every accessor and `decode`
+//! reproduce the dense-layout column exactly for every encoding and null
+//! pattern — and the kernel's production folds must produce
+//! **bit-identical** counts to the row-at-a-time reference fold — on
+//! shuffled (narrow-leaning) and adversarially runny (RLE-leaning) inputs
+//! alike, and at the boundaries of the narrow code widths.
 
 use proptest::prelude::*;
 
 use mesa_repro::infotheory::kernel::{accumulate, reference_accumulate, Accumulated};
 use mesa_repro::infotheory::{conditional_mutual_information, entropy, mutual_information};
-use mesa_repro::tabular::{Access, Codes, ColumnView, EncodedColumn, Encoding};
+use mesa_repro::tabular::{Access, Codes, EncodedColumn, Encoding, Run};
 
 /// Strategy: per-row cells with `0` = missing and `v >= 1` = code `v - 1`
 /// (same convention as `tests/kernel_equivalence.rs`).
@@ -33,27 +34,65 @@ fn to_column(cells: &[u32], card: u32) -> EncodedColumn {
     EncodedColumn::from_option_codes(cells.iter().map(|&v| v.checked_sub(1)), labels)
 }
 
-/// Asserts every observable of the sealed column matches the mutable one:
-/// whole-column decode, per-row random access, and the run view.
+/// Asserts that sealing changes the column's layout and nothing else: every
+/// accessor of the sealed form — labels, validity, whole-column codes,
+/// per-row random access, the run view — matches the dense-layout column;
+/// the access path (slice width or runs) is the one the recorded encoding
+/// names, at the recorded byte count; `decode` round-trips exactly and a
+/// second seal changes nothing.
 fn assert_seal_round_trip(col: &EncodedColumn) {
-    let sealed = col.seal();
+    assert!(!col.is_sealed());
+    assert_eq!(col.encoding(), Encoding::Dense);
+    let sealed = col.clone().seal();
+    assert!(sealed.is_sealed());
     assert_eq!(sealed.len(), col.len());
     assert_eq!(sealed.cardinality(), col.cardinality());
+    assert_eq!(sealed.labels(), col.labels());
+    assert_eq!(sealed.validity(), col.validity());
     assert_eq!(sealed.null_count(), col.null_count());
+    assert_eq!(sealed.n_present(), col.n_present());
+    assert_eq!(
+        sealed.codes(),
+        col.codes(),
+        "codes() must decode the layout"
+    );
     assert_eq!(&sealed.decode(), col, "decode() must round-trip exactly");
+    assert_eq!(
+        sealed.clone().seal(),
+        sealed,
+        "sealing twice changes nothing"
+    );
     for i in 0..col.len() {
         assert_eq!(sealed.code_at(i), col.code_at(i), "row {i}");
         assert_eq!(sealed.is_present(i), col.is_present(i), "row {i}");
     }
-    // The run view must partition the column and agree with the raw codes
-    // (code slots under nulls included — sealing preserves them).
+    let choice = sealed.choice();
+    let (encoding, payload) = match sealed.access() {
+        Access::Codes(Codes::U8(codes)) => (Encoding::Narrow, codes.len()),
+        Access::Codes(Codes::U16(codes)) => (Encoding::Narrow, 2 * codes.len()),
+        Access::Codes(Codes::U32(codes)) => (Encoding::Dense, 4 * codes.len()),
+        Access::Runs(runs) => (Encoding::RunLength, 8 * runs.count()),
+    };
+    assert_eq!(
+        sealed.encoding(),
+        encoding,
+        "access() must match the encoding"
+    );
+    assert_eq!(choice.encoding, encoding);
+    assert_eq!(choice.sealed_bytes, payload);
+    assert_eq!(choice.dense_bytes, 4 * col.len());
+    // Both layouts yield the same maximal runs; they partition the column
+    // and agree with the raw codes (code slots under nulls included —
+    // sealing preserves them).
+    let runs: Vec<Run> = sealed.runs().collect();
+    assert_eq!(runs, col.runs().collect::<Vec<_>>());
+    assert_eq!(runs.len(), choice.n_runs);
+    let codes = col.codes();
     let mut pos = 0usize;
-    for run in sealed.runs() {
+    for run in &runs {
         assert_eq!(run.start, pos, "runs must partition the column");
         assert!(run.end > run.start);
-        for i in run.start..run.end {
-            assert_eq!(col.codes()[i], run.value);
-        }
+        assert!(codes[run.start..run.end].iter().all(|&c| c == run.value));
         pos = run.end;
     }
     assert_eq!(pos, col.len());
@@ -79,34 +118,30 @@ fn assert_bitwise_equal(got: &Accumulated, oracle: &Accumulated) {
     );
 }
 
-/// Compares the production fold over sealed and over plain columns with the
-/// reference fold, bit for bit, at both kernel layouts (dense mixed-radix
-/// and sparse hash), weighted and unweighted.
+/// Compares the production fold over sealed and over dense-layout columns
+/// with the reference fold, bit for bit, at both table layouts (dense
+/// mixed-radix and sparse hash), weighted and unweighted.
 fn assert_bitwise_kernel_parity(cols: &[&EncodedColumn], weights: Option<&[f64]>) {
-    let sealed: Vec<_> = cols.iter().map(|c| c.seal()).collect();
-    let plain: Vec<ColumnView<'_>> = cols.iter().map(|&c| c.into()).collect();
-    let views: Vec<ColumnView<'_>> = sealed.iter().map(ColumnView::from).collect();
+    let sealed: Vec<EncodedColumn> = cols.iter().map(|&c| c.clone().seal()).collect();
+    let sealed: Vec<&EncodedColumn> = sealed.iter().collect();
     for dense_cells in [1usize << 20, 0] {
         let reference = reference_accumulate(cols, weights, dense_cells).unwrap();
-        let run_aware = accumulate(&views, weights, dense_cells).unwrap();
+        let run_aware = accumulate(&sealed, weights, dense_cells).unwrap();
         assert_bitwise_equal(&run_aware, &reference);
-        assert_bitwise_equal(
-            &accumulate(&plain, weights, dense_cells).unwrap(),
-            &reference,
-        );
+        assert_bitwise_equal(&accumulate(cols, weights, dense_cells).unwrap(), &reference);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random (shuffled-leaning) columns round-trip through seal/view.
+    /// Random (shuffled-leaning) columns round-trip through seal.
     #[test]
     fn seal_round_trips_random_columns(xs in cells(90, 6)) {
         assert_seal_round_trip(&to_column(&xs, 6));
     }
 
-    /// Adversarially runny columns round-trip through seal/view.
+    /// Adversarially runny columns round-trip through seal.
     #[test]
     fn seal_round_trips_runny_columns(
         vals in prop::collection::vec(0u32..=4, 1..12),
@@ -116,7 +151,8 @@ proptest! {
         assert_seal_round_trip(&to_column(&xs, 4));
     }
 
-    /// Sorted fully-observed integer keys round-trip (the delta encoding).
+    /// Sorted fully-observed integer keys round-trip (long runs seal to RLE,
+    /// one-row runs to narrow codes).
     #[test]
     fn seal_round_trips_sorted_keys(ks in prop::collection::vec(0u32..5000, 1..120)) {
         let mut ks = ks.clone();
@@ -124,11 +160,10 @@ proptest! {
         let card = ks.last().copied().unwrap_or(0) + 1;
         let labels = (0..card).map(|c| c.to_string()).collect();
         let col = EncodedColumn::from_codes(ks, labels);
-        let sealed = col.seal();
-        // Non-decreasing fully observed keys must pick a run-iterable or
-        // narrow layout, never fall back to dense (beyond trivial columns).
+        // Keys below 5,000 fit narrow codes, so the layout is never dense
+        // (beyond trivial columns).
         if col.len() > 8 {
-            prop_assert!(sealed.encoding() != Encoding::Dense);
+            prop_assert!(col.clone().seal().encoding() != Encoding::Dense);
         }
         assert_seal_round_trip(&col);
     }
@@ -164,8 +199,8 @@ proptest! {
         assert_bitwise_kernel_parity(&[&x, &y], Some(&w));
     }
 
-    /// Measure-level bit identity: entropy, MI, and CMI computed through
-    /// sealed views equal the mutable-column estimates bit for bit.
+    /// Measure-level bit identity: entropy, MI, and CMI computed over sealed
+    /// columns equal the dense-layout estimates bit for bit.
     #[test]
     fn sealed_measures_are_bit_identical(
         xs in cells(70, 4),
@@ -178,26 +213,22 @@ proptest! {
         let x = to_column(&xs[..n], 4);
         let y = to_column(&ys[..n], 3);
         let z = to_column(&zs[..n], 2);
-        let (sx, sy, sz) = (x.seal(), y.seal(), z.seal());
+        let (sx, sy, sz) = (x.clone().seal(), y.clone().seal(), z.clone().seal());
         prop_assert_eq!(
-            entropy((&x).into(), None).unwrap().to_bits(),
-            entropy((&sx).into(), None).unwrap().to_bits()
+            entropy(&x, None).unwrap().to_bits(),
+            entropy(&sx, None).unwrap().to_bits()
         );
         prop_assert_eq!(
-            mutual_information((&x).into(), (&y).into(), None).unwrap().to_bits(),
-            mutual_information((&sx).into(), (&sy).into(), None).unwrap().to_bits()
+            mutual_information(&x, &y, None).unwrap().to_bits(),
+            mutual_information(&sx, &sy, None).unwrap().to_bits()
         );
         prop_assert_eq!(
-            conditional_mutual_information((&x).into(), (&y).into(), &[(&z).into()], None)
-                .unwrap()
-                .to_bits(),
-            conditional_mutual_information((&sx).into(), (&sy).into(), &[(&sz).into()], None)
-                .unwrap()
-                .to_bits()
+            conditional_mutual_information(&x, &y, &[&z], None).unwrap().to_bits(),
+            conditional_mutual_information(&sx, &sy, &[&sz], None).unwrap().to_bits()
         );
     }
 
-    /// Mixed lifecycle states in one fold (sealed exposure, mutable outcome)
+    /// Mixed layouts in one fold (sealed exposure, dense-layout outcome)
     /// still match the reference fold bit for bit.
     #[test]
     fn mixed_states_match_oracle(
@@ -209,10 +240,10 @@ proptest! {
         let n = xs.len().min(ys.len());
         let x = to_column(&xs[..n], 3);
         let y = to_column(&ys[..n], 4);
-        let sx = x.seal();
+        let sx = x.clone().seal();
         for dense_cells in [1usize << 20, 0] {
             let oracle = reference_accumulate(&[&x, &y], None, dense_cells).unwrap();
-            let mixed = accumulate(&[(&sx).into(), (&y).into()], None, dense_cells).unwrap();
+            let mixed = accumulate(&[&sx, &y], None, dense_cells).unwrap();
             prop_assert_eq!(oracle.complete_cases, mixed.complete_cases);
             prop_assert_eq!(
                 oracle.counts.entropy(oracle.total).to_bits(),
@@ -230,8 +261,7 @@ proptest! {
     ) {
         let xs = expand_runs(&vals, &lens);
         let col = to_column(&xs, 3);
-        let sealed = col.seal();
-        let choice = sealed.choice();
+        let choice = col.clone().seal().choice();
         prop_assert!(choice.sealed_bytes <= choice.dense_bytes);
         if col.len() >= 64 {
             // six runs over 64+ rows must beat 4 bytes/row handily
@@ -261,8 +291,8 @@ fn boundary_column(len: usize, card: u32, nulls: bool) -> EncodedColumn {
 /// validity word, with and without nulls: the sealed column round-trips,
 /// picks the expected layout and width, never outgrows the dense payload,
 /// and folds bit-identically to the reference on the block path (beside a
-/// plain column) and the segment path (beside an RLE column, and beside
-/// both), weighted and unweighted, at both table layouts.
+/// dense-layout column) and the segment path (beside an RLE column, and
+/// beside both), weighted and unweighted, at both table layouts.
 #[test]
 fn narrow_width_boundaries_round_trip_and_fold_like_the_reference() {
     for card in [256u32, 257, 65_536, 65_537] {
@@ -271,7 +301,7 @@ fn narrow_width_boundaries_round_trip_and_fold_like_the_reference() {
                 let case = format!("{card} codes, {len} rows, nulls {nulls}");
                 let col = boundary_column(len, card, nulls);
                 assert_seal_round_trip(&col);
-                let sealed = col.seal();
+                let sealed = col.clone().seal();
                 let choice = sealed.choice();
                 assert!(choice.sealed_bytes <= choice.dense_bytes, "{case}");
                 let width = match card {
@@ -299,28 +329,22 @@ fn narrow_width_boundaries_round_trip_and_fold_like_the_reference() {
                 // A runny column that seals to RLE wherever RLE can win
                 // (one run costs 8 bytes, narrow codes one per row).
                 let runny = to_column(&vec![2; len], 3);
-                let sealed_runny = runny.seal();
+                let sealed_runny = runny.clone().seal();
                 if len != 1 {
                     assert_eq!(sealed_runny.encoding(), Encoding::RunLength, "{case}");
                 }
                 let plain = boundary_column(len, 3, !nulls);
                 let weights: Vec<f64> = (0..len).map(|i| (i % 4) as f64 * 0.5).collect();
-                let combos: [(&[&EncodedColumn], Vec<ColumnView<'_>>); 3] = [
-                    (&[&col, &plain], vec![(&sealed).into(), (&plain).into()]),
-                    (
-                        &[&col, &runny],
-                        vec![(&sealed).into(), (&sealed_runny).into()],
-                    ),
-                    (
-                        &[&col, &runny, &plain],
-                        vec![(&sealed).into(), (&sealed_runny).into(), (&plain).into()],
-                    ),
+                let combos: [(&[&EncodedColumn], &[&EncodedColumn]); 3] = [
+                    (&[&col, &plain], &[&sealed, &plain]),
+                    (&[&col, &runny], &[&sealed, &sealed_runny]),
+                    (&[&col, &runny, &plain], &[&sealed, &sealed_runny, &plain]),
                 ];
-                for (columns, views) in &combos {
+                for (columns, mixed) in combos {
                     for w in [None, Some(weights.as_slice())] {
                         for dense_cells in [1usize << 20, 0] {
                             let oracle = reference_accumulate(columns, w, dense_cells).unwrap();
-                            let got = accumulate(views, w, dense_cells).unwrap();
+                            let got = accumulate(mixed, w, dense_cells).unwrap();
                             assert_bitwise_equal(&got, &oracle);
                         }
                     }
