@@ -1,6 +1,6 @@
-//! Appendix experiment: sealed compressed columns — per-column byte
-//! footprints (dense vs sealed) and run-aware kernel timings against the
-//! dense reference path, per dataset.
+//! Appendix experiment: sealed columns — per-column byte footprints (dense
+//! vs sealed) and kernel timings over sealed against dense codes, per
+//! dataset.
 //!
 //! Emits `BENCH_compression.json`. Entry labels come in two families:
 //!
@@ -8,21 +8,21 @@
 //!   `<dataset>/footprint/<column>/<encoding>` — **bytes**, not
 //!   milliseconds, carried in the `median_ms` slot of the shared schema
 //!   (`reps` is 1; the label family makes the unit unambiguous). The sealed
-//!   entry's label records the encoding the heuristic picked (`rle`,
-//!   `narrow` — one `u8` or `u16` per row — or `dense`).
+//!   entry's label records the encoding sealing picked (`narrow` — one
+//!   `u8` or `u16` per row — or `dense`).
 //!   `<dataset>/footprint/total/*` sums the per-column payloads.
 //! * `<dataset>/kernel/<measure>_{dense,sealed}` — wall-clock milliseconds
 //!   for the same estimate computed over an unsealed frame encoded afresh
 //!   from the prepared one (dense codes) and over the prepared frame, which
-//!   preparation seals (run-aware fold). The two are bit-identical in value;
-//!   only the storage the kernel reads differs.
+//!   preparation seals (narrow codes). The two are bit-identical in value;
+//!   only the code width the kernel reads differs.
 //!
 //! The committed copy is the paper-scale (`MESA_SCALE=paper`) baseline: it
 //! is the record of the footprint reduction sealing buys on the session's
 //! prepared-query memo, and of the sealed kernel paths holding the dense
 //! paths' throughput. Sealing trades compression for fold speed: every
-//! layout is byte-aligned, so the sealed folds read slices or runs and
-//! never unpack bits.
+//! layout is a byte-aligned slice, so the sealed folds read one code per
+//! row and never unpack bits.
 
 use bench::report::BenchReport;
 use bench::{prepare_workload, ExperimentData, Scale};
@@ -33,7 +33,7 @@ fn main() {
     let scale = Scale::from_env();
     let data = ExperimentData::generate(scale);
     let mut report = BenchReport::new("compression");
-    println!("== Appendix: sealed column footprints and run-aware kernel ==\n");
+    println!("== Appendix: sealed column footprints and kernel timings ==\n");
 
     let queries = representative_queries();
     for (dataset, _) in &data.frames {
@@ -112,12 +112,12 @@ fn main() {
         );
         for col in sealed.encoding_report() {
             println!(
-                "    {:<28} {:<9} {:>9} B -> {:>8} B  ({} runs)",
+                "    {:<28} {:<9} {:>9} B -> {:>8} B  ({} codes)",
                 col.name,
                 col.encoding.name(),
                 col.dense_bytes,
                 col.sealed_bytes,
-                col.n_runs
+                col.cardinality
             );
         }
     }

@@ -2,8 +2,8 @@
 //!
 //! Everything here generates *hostile* instances on purpose: columns with
 //! pathological null rates (up to and including 100%), cardinalities from 2
-//! to ~100k (stressing the kernel's dense/sparse crossover), runny vs
-//! shuffled physical layouts (stressing RLE sealing), and knowledge graphs
+//! to ~100k (stressing the kernel's dense/sparse crossover and the narrow
+//! code widths), runny vs shuffled row orders, and knowledge graphs
 //! with deep hop chains, colliding aliases and one-to-many fans (stressing
 //! extraction). All sampling goes through the vendored [`rand`] `StdRng`, so
 //! an entire scenario replays from a single `u64` seed.
@@ -34,9 +34,9 @@ pub enum AdversarialDType {
 /// Physical row order of a generated column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layout {
-    /// Values sorted, producing long runs (the best case for RLE sealing).
+    /// Values sorted, producing long runs of equal codes.
     Runny,
-    /// Values in random order (the worst case for RLE sealing).
+    /// Values in random order, so neighbouring rows rarely repeat a code.
     Shuffled,
 }
 

@@ -318,7 +318,8 @@ pub fn prepare_matches_join_then_bin(
     }
     let (frame, encodings) = bin_frame_encoded(gathered, config.n_bins, config.bin_strategy)
         .map_err(|e| format!("reference binning failed: {e:?}"))?;
-    let mut encoded = EncodedFrame::from_frame_with(&frame, encodings);
+    let mut encoded = EncodedFrame::from_frame_with(&frame, encodings)
+        .map_err(|e| format!("reference encoding failed: {e:?}"))?;
     encoded.seal();
 
     if prepared.frame != frame {
@@ -379,10 +380,10 @@ fn canonical(acc: &Accumulated) -> (Vec<(Vec<u32>, u64)>, u64, usize) {
 /// Oracle 4: sealed ≡ plain ≡ reference kernel counts, bitwise, in both
 /// layouts. Samples a few 2–3 column tuples from the frame and, under the
 /// dense (huge cell budget) and sparse (zero budget) layouts, folds each
-/// through the reference fold and through the production fold over the
-/// sealed columns (segment or block fold) and over the plain ones (block
-/// fold), unweighted and — for a seed-chosen half of the scenarios — with a
-/// zero-containing weight vector.
+/// through the reference fold and through the production block fold over
+/// the sealed (narrow) columns and over the plain (dense) ones, unweighted
+/// and — for a seed-chosen half of the scenarios — with a zero-containing
+/// weight vector.
 fn kernel_equivalence(scenario: &Scenario, sabotage: Sabotage) -> Result<(), OracleFailure> {
     const FAMILY: &str = "kernel-equivalence";
     let encoded: Vec<EncodedColumn> = scenario.df.columns().map(|c| c.encode()).collect();

@@ -23,8 +23,6 @@ pub struct ColumnEncodingReport {
     pub encoding: Encoding,
     /// Number of distinct codes.
     pub cardinality: usize,
-    /// Number of maximal equal-code runs in the stream (0 when unsealed).
-    pub n_runs: usize,
     /// Bytes of the dense code vector.
     pub dense_bytes: usize,
     /// Bytes of the code payload in the selected encoding.
@@ -33,8 +31,8 @@ pub struct ColumnEncodingReport {
 
 /// Encoded view of a frame: one [`EncodedColumn`] per original column, in
 /// the dense layout encoding produces until [`seal`](EncodedFrame::seal)
-/// re-lays each out. Every measure reads every layout (sealed columns are
-/// folded run-aware, with bit-identical results).
+/// re-lays each out. Every measure reads every layout in place, with
+/// bit-identical results.
 #[derive(Debug, Clone)]
 pub struct EncodedFrame {
     columns: HashMap<String, EncodedColumn>,
@@ -59,21 +57,23 @@ impl EncodedFrame {
     /// `precomputed` maps column names to encodings already produced upstream
     /// (the binning pass emits the bin codes of every column it bins); those
     /// columns are not re-encoded. Each precomputed encoding must describe the
-    /// frame's column of the same name — same length, same row order.
-    ///
-    /// # Panics
-    /// Panics if a precomputed encoding's length differs from the frame's row
-    /// count (a mismatched encoding would silently mis-score every measure).
-    pub fn from_frame_with(df: &DataFrame, precomputed: Vec<(String, EncodedColumn)>) -> Self {
+    /// frame's column of the same name — same length, same row order. A
+    /// precomputed encoding whose length differs from the frame's row count
+    /// would silently mis-score every measure, so it is returned as
+    /// [`TabularError::InvalidArgument`].
+    pub fn from_frame_with(
+        df: &DataFrame,
+        precomputed: Vec<(String, EncodedColumn)>,
+    ) -> Result<Self> {
         let n_rows = df.n_rows();
         let mut pre: HashMap<String, EncodedColumn> = HashMap::with_capacity(precomputed.len());
         for (name, enc) in precomputed {
-            assert_eq!(
-                enc.len(),
-                n_rows,
-                "precomputed encoding for {name:?} has {} rows, frame has {n_rows}",
-                enc.len()
-            );
+            if enc.len() != n_rows {
+                return Err(TabularError::InvalidArgument(format!(
+                    "precomputed encoding for {name:?} has {} rows, frame has {n_rows}",
+                    enc.len()
+                )));
+            }
             pre.insert(name, enc);
         }
         let columns = df
@@ -83,7 +83,7 @@ impl EncodedFrame {
                 (c.name().to_string(), enc)
             })
             .collect();
-        EncodedFrame { columns, n_rows }
+        Ok(EncodedFrame { columns, n_rows })
     }
 
     /// Encodes only the named columns of the frame.
@@ -120,11 +120,11 @@ impl EncodedFrame {
             .ok_or_else(|| TabularError::ColumnNotFound(name.to_string()))
     }
 
-    /// Seals every column in place, re-laying its codes out in the smallest
-    /// applicable layout (see [`EncodedColumn::seal`]). Sealed columns are
-    /// left untouched, so on a frame that MESA's preparation already sealed
-    /// this does nothing. Every measure returns bit-identical results before
-    /// and after sealing.
+    /// Seals every column in place, re-laying its codes out in the narrowest
+    /// byte-aligned width its cardinality admits (see
+    /// [`EncodedColumn::seal`]). Sealed columns are left untouched, so on a
+    /// frame that MESA's preparation already sealed this does nothing. Every
+    /// measure returns bit-identical results before and after sealing.
     pub fn seal(&mut self) {
         for col in self.columns.values_mut() {
             let dense = std::mem::replace(col, EncodedColumn::from_codes(Vec::new(), Vec::new()));
@@ -150,7 +150,6 @@ impl EncodedFrame {
                     name: name.clone(),
                     encoding: choice.encoding,
                     cardinality: col.cardinality(),
-                    n_runs: choice.n_runs,
                     dense_bytes: choice.dense_bytes,
                     sealed_bytes: choice.sealed_bytes,
                 }
@@ -379,9 +378,9 @@ mod tests {
 
     /// Every layer returns a violation of the fold's input contract as
     /// `InvalidArgument`: the kernel (production and reference folds), the
-    /// joint table, and the frame's weighted measures. A frame's columns
-    /// share one length by construction, so unequal column lengths reach
-    /// only the first three.
+    /// joint table, and the frame — its weighted measures, and for unequal
+    /// column lengths its construction, which refuses a precomputed encoding
+    /// whose length differs from the frame's row count.
     #[test]
     fn contract_violations_are_invalid_argument_at_every_layer() {
         fn assert_invalid<T: std::fmt::Debug>(result: Result<T>, what: &str, layer: &str) {
@@ -420,6 +419,9 @@ mod tests {
             );
             assert_invalid(JointTable::build(cols, weights), what, "table");
             if cols[1].len() != ef.n_rows() {
+                let precomputed = vec![("o".to_string(), cols[1].clone())];
+                let built = EncodedFrame::from_frame_with(&df, precomputed);
+                assert_invalid(built, what, "frame");
                 continue;
             }
             assert_invalid(ef.mutual_information("t", "o", weights), what, "MI");
@@ -442,8 +444,8 @@ mod tests {
         assert_eq!(names, vec!["m", "o", "t", "z"]);
         for r in &report {
             assert_eq!(r.dense_bytes, 4 * ef.n_rows());
-            assert!(r.sealed_bytes <= r.dense_bytes.max(8));
-            assert!(r.n_runs >= 1);
+            assert_eq!(r.encoding, tabular::Encoding::Narrow);
+            assert_eq!(r.sealed_bytes, ef.n_rows());
         }
     }
 }

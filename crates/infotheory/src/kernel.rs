@@ -2,9 +2,10 @@
 //!
 //! [`accumulate`] is the one production entry point: it takes
 //! [`EncodedColumn`]s in any layout, checks the input contract (equal
-//! lengths, finite non-negative weights) and returns a `Result`.
-//! [`reference_accumulate`], a row-at-a-time fold over decoded codes, is
-//! the oracle that tests and the fuzzer hold it to, bit for bit.
+//! lengths, finite non-negative weights), folds the rows in 64-row blocks
+//! and returns a `Result`. [`reference_accumulate`], a row-at-a-time fold
+//! over decoded codes, is the oracle that tests and the fuzzer hold it to,
+//! bit for bit.
 //!
 //! A joint count table over encoded columns can be stored two ways:
 //!
@@ -35,7 +36,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use tabular::{Access, Bitmap, Codes, EncodedColumn, Run, RunIter, TabularError};
+use tabular::{Bitmap, Codes, EncodedColumn, TabularError};
 
 /// A deterministic FxHash-style hasher: multiply-xor folding with fixed
 /// constants and no per-process seed. Quality is more than sufficient for
@@ -119,9 +120,9 @@ pub const DENSE_CELLS_FLOOR: usize = 1024;
 /// `min(DEFAULT_DENSE_CELLS, DENSE_CELLS_PER_ROW · n_rows + DENSE_CELLS_FLOOR)`.
 ///
 /// See [`DENSE_CELLS_PER_ROW`] and [`DENSE_CELLS_FLOOR`] for the crossover
-/// rationale and [`DEFAULT_DENSE_CELLS`] for the hard cap. The same threshold
-/// governs both folds of [`accumulate`], so layout choice and storage state
-/// are independent decisions.
+/// rationale and [`DEFAULT_DENSE_CELLS`] for the hard cap. With it the
+/// table layout depends on the row count and the cardinalities only, not
+/// on how the columns are stored.
 pub fn adaptive_dense_cells(n_rows: usize) -> usize {
     n_rows
         .saturating_mul(DENSE_CELLS_PER_ROW)
@@ -228,24 +229,16 @@ fn validate(
 /// complete-case tally. Inconsistent lengths and negative or non-finite
 /// weights are returned as [`TabularError::InvalidArgument`].
 ///
-/// Columns in every layout are folded without a full decode:
+/// Columns in every layout are read in place, in **64-row blocks** aligned
+/// to the words of the complete-case mask: all-null words are skipped
+/// wholesale, and each column — dense or narrow — adds its block of `u32`,
+/// `u16` or `u8` codes to the rows' joint indices in one loop, generic over
+/// the code width.
 ///
-/// * any RLE column present → **run-aligned segment co-iteration**:
-///   each segment is the intersection of the participating runs, the run
-///   columns' contribution to the joint index is hoisted out of the row
-///   loop, per-segment validity comes from the word-level range iterators of
-///   the complete-case mask, the other columns are read in place from their
-///   code slices, and an all-run unweighted segment collapses to a single
-///   `+= count_set_range(..)`;
-/// * otherwise → **64-row blocks** aligned to the mask words: all-null
-///   words are skipped wholesale, and each column — dense or narrow —
-///   adds its block of `u32`, `u16` or `u8` codes to the rows' joint
-///   indices in one loop, generic over the code width.
-///
-/// Both folds visit surviving rows in ascending row order and perform the
+/// The fold visits surviving rows in ascending row order and performs the
 /// identical floating-point operations per row as [`reference_accumulate`]
-/// (unweighted run and block folds replace `n` additions of `1.0` with one
-/// `+= n`, exact for integer counts), so results are **bit-identical** to
+/// (a fully observed unweighted block adds `1.0` per row and `64.0` to the
+/// total, exact for integer counts), so results are **bit-identical** to
 /// the reference — an equality the test suite asserts, not approximates.
 pub fn accumulate(
     columns: &[&EncodedColumn],
@@ -258,31 +251,15 @@ pub fn accumulate(
     let cells = dense_cell_count(columns, dense_cells);
     let radices: Vec<usize> = columns.iter().map(|c| c.cardinality().max(1)).collect();
     let mults = dense_mults(&radices, cells.is_some());
-    let mut run_cols: Vec<RunCol<'_>> = Vec::new();
-    let mut row_cols: Vec<RowCol<'_>> = Vec::new();
-    for ((dim, c), &mult) in columns.iter().enumerate().zip(&mults) {
-        match c.access() {
-            Access::Runs(mut iter) => {
-                let cur = iter.next().unwrap_or(Run {
-                    value: 0,
-                    start: 0,
-                    end: n,
-                });
-                run_cols.push(RunCol {
-                    iter,
-                    cur,
-                    dim,
-                    mult,
-                });
-            }
-            Access::Codes(codes) => row_cols.push(RowCol { codes, dim, mult }),
-        }
-    }
-    let (counts, total, complete_cases) = if run_cols.is_empty() {
-        fold_blocks(&row_cols, weights, &mask, cells, radices, n)
-    } else {
-        fold_segments(run_cols, &row_cols, weights, &mask, cells, radices, n)
-    };
+    let row_cols: Vec<RowCol<'_>> = columns
+        .iter()
+        .zip(mults)
+        .map(|(c, mult)| RowCol {
+            codes: c.access(),
+            mult,
+        })
+        .collect();
+    let (counts, total, complete_cases) = fold_blocks(&row_cols, weights, &mask, cells, radices, n);
     Ok(Accumulated {
         counts,
         total,
@@ -293,8 +270,8 @@ pub fn accumulate(
 /// The reference fold: one row at a time over each column's decoded
 /// [`codes`](EncodedColumn::codes), in the dense or sparse layout by the
 /// same `dense_cells` rule as [`accumulate`], with the same input contract.
-/// It shares no access path with the production folds, which makes it
-/// their independent oracle; only tests and the fuzzer call it.
+/// It shares no access path with the production fold, which makes it its
+/// independent oracle; only tests and the fuzzer call it.
 pub fn reference_accumulate(
     columns: &[&EncodedColumn],
     weights: Option<&[f64]>,
@@ -363,149 +340,16 @@ fn dense_mults(radices: &[usize], dense: bool) -> Vec<usize> {
     mults
 }
 
-/// A column read run-at-a-time in the segment fold.
-struct RunCol<'a> {
-    iter: RunIter<'a>,
-    cur: Run,
-    dim: usize,
-    mult: usize,
-}
-
-/// A column read row-at-a-time from its code slice, in either fold.
+/// A column read from its code slice by the block fold, with its
+/// mixed-radix multiplier (0 for the sparse layout).
 struct RowCol<'a> {
     codes: Codes<'a>,
-    dim: usize,
     mult: usize,
-}
-
-/// Run-aligned segment co-iteration over at least one RLE column.
-fn fold_segments(
-    mut run_cols: Vec<RunCol<'_>>,
-    row_cols: &[RowCol<'_>],
-    weights: Option<&[f64]>,
-    mask: &Bitmap,
-    cells: Option<usize>,
-    radices: Vec<usize>,
-    n: usize,
-) -> (JointCounts, f64, usize) {
-    let mut total = 0.0f64;
-    let mut complete_cases = 0usize;
-    let counts = match cells {
-        Some(cells) => {
-            let mut counts = vec![0.0f64; cells];
-            let mut pos = 0usize;
-            // mesa-lint: hot-loop -- run-aligned segment walk; polls the cooperative deadline once per segment
-            while pos < n {
-                parallel::checkpoint();
-                let mut seg_end = n;
-                let mut base = 0usize;
-                for rc in &run_cols {
-                    seg_end = seg_end.min(rc.cur.end);
-                    base += rc.cur.value as usize * rc.mult;
-                }
-                assert!(seg_end > pos, "run iterators must partition the column");
-                if row_cols.is_empty() {
-                    if let Some(w) = weights {
-                        for row in mask.iter_set_range(pos, seg_end) {
-                            let wi = w[row];
-                            if wi == 0.0 {
-                                continue;
-                            }
-                            counts[base] += wi;
-                            total += wi;
-                            complete_cases += 1;
-                        }
-                    } else {
-                        // The all-run payoff: one word-level popcount folds
-                        // the whole segment. Exact-integer adds keep the
-                        // result bit-identical to per-row `+= 1.0`.
-                        let m = mask.count_set_range(pos, seg_end);
-                        if m > 0 {
-                            counts[base] += m as f64;
-                            total += m as f64;
-                            complete_cases += m;
-                        }
-                    }
-                } else {
-                    for row in mask.iter_set_range(pos, seg_end) {
-                        let w = weights.map(|w| w[row]).unwrap_or(1.0);
-                        if w == 0.0 {
-                            continue;
-                        }
-                        let mut idx = base;
-                        for rc in row_cols {
-                            idx += rc.codes.get(row) as usize * rc.mult;
-                        }
-                        counts[idx] += w;
-                        total += w;
-                        complete_cases += 1;
-                    }
-                }
-                pos = seg_end;
-                for rc in &mut run_cols {
-                    if rc.cur.end == pos {
-                        if let Some(next) = rc.iter.next() {
-                            rc.cur = next;
-                        }
-                    }
-                }
-            }
-            JointCounts::Dense { counts, radices }
-        }
-        None => {
-            let mut counts = SparseCounts::default();
-            let mut key: Vec<u32> = vec![0; run_cols.len() + row_cols.len()];
-            let mut pos = 0usize;
-            // mesa-lint: hot-loop -- run-aligned segment walk; polls the cooperative deadline once per segment
-            while pos < n {
-                parallel::checkpoint();
-                let mut seg_end = n;
-                for rc in &run_cols {
-                    seg_end = seg_end.min(rc.cur.end);
-                }
-                assert!(seg_end > pos, "run iterators must partition the column");
-                for rc in &run_cols {
-                    key[rc.dim] = rc.cur.value;
-                }
-                if row_cols.is_empty() && weights.is_none() {
-                    let m = mask.count_set_range(pos, seg_end);
-                    if m > 0 {
-                        *counts.entry(key.clone()).or_insert(0.0) += m as f64;
-                        total += m as f64;
-                        complete_cases += m;
-                    }
-                } else {
-                    for row in mask.iter_set_range(pos, seg_end) {
-                        let w = weights.map(|w| w[row]).unwrap_or(1.0);
-                        if w == 0.0 {
-                            continue;
-                        }
-                        for rc in row_cols {
-                            key[rc.dim] = rc.codes.get(row);
-                        }
-                        *counts.entry(key.clone()).or_insert(0.0) += w;
-                        total += w;
-                        complete_cases += 1;
-                    }
-                }
-                pos = seg_end;
-                for rc in &mut run_cols {
-                    if rc.cur.end == pos {
-                        if let Some(next) = rc.iter.next() {
-                            rc.cur = next;
-                        }
-                    }
-                }
-            }
-            JointCounts::Sparse { counts }
-        }
-    };
-    (counts, total, complete_cases)
 }
 
 /// Adds `code · mult` to the joint index of each row of one block, where
 /// `idxs` covers the block's rows from `start` on: the one loop, generic
-/// over the code width, that every slice column runs per block.
+/// over the code width, that every column runs per block.
 fn add_block_codes(codes: Codes<'_>, start: usize, mult: usize, idxs: &mut [usize]) {
     fn add<T: Copy + Into<u32>>(codes: &[T], mult: usize, idxs: &mut [usize]) {
         for (acc, &c) in idxs.iter_mut().zip(codes) {
@@ -520,7 +364,7 @@ fn add_block_codes(codes: Codes<'_>, start: usize, mult: usize, idxs: &mut [usiz
     }
 }
 
-/// 64-row block fold over slice columns only (no run columns).
+/// The 64-row block fold over the columns' code slices.
 fn fold_blocks(
     row_cols: &[RowCol<'_>],
     weights: Option<&[f64]>,
@@ -595,8 +439,8 @@ fn fold_blocks(
                     if w == 0.0 {
                         continue;
                     }
-                    for rc in row_cols {
-                        key[rc.dim] = rc.codes.get(row);
+                    for (k, rc) in key.iter_mut().zip(row_cols) {
+                        *k = rc.codes.get(row);
                     }
                     *counts.entry(key.clone()).or_insert(0.0) += w;
                     total += w;
@@ -899,7 +743,7 @@ mod tests {
 
     #[test]
     fn sealed_runny_columns_match_oracle() {
-        // Long runs with interleaved nulls: the segment path with RLE inputs.
+        // Long runs with interleaved nulls, partly observed blocks.
         let x: Vec<Option<&str>> = (0..300)
             .map(|i| {
                 if i % 37 == 0 {
@@ -926,8 +770,7 @@ mod tests {
 
     #[test]
     fn sealed_shuffled_columns_match_oracle() {
-        // Shuffled low-cardinality streams seal to u8 narrow codes: the block
-        // path.
+        // Shuffled low-cardinality streams seal to u8 narrow codes.
         let x: Vec<Option<&str>> = (0..500)
             .map(|i| {
                 if i % 53 == 0 {
@@ -948,8 +791,7 @@ mod tests {
 
     #[test]
     fn mixed_run_and_narrow_columns_match_oracle() {
-        // One runny column (RLE) and one shuffled column (narrow) in the
-        // same fold exercises the segment fold's in-place slice reads.
+        // A runny and a shuffled column, both narrow once sealed.
         let runny: Vec<Option<&str>> = (0..400).map(|i| Some(["u", "v"][i / 80 % 2])).collect();
         let shuffled: Vec<Option<&str>> = (0..400)
             .map(|i| Some(["a", "b", "c", "d", "e", "f"][(i * 13) % 6]))

@@ -6,8 +6,8 @@
 //! and the G-test of conditional independence.
 //!
 //! All estimators take discrete columns as `&`[`tabular::EncodedColumn`]s in
-//! any layout — the dense codes encoding produces or a sealed RLE or narrow
-//! layout — with bit-identical results (numeric attributes are binned
+//! any layout — the dense codes encoding produces or the narrow codes
+//! sealing picks — with bit-identical results (numeric attributes are binned
 //! first, see [`tabular::bin_frame_encoded`]). They use complete-case analysis over the
 //! involved columns, accept optional per-row weights so that Inverse
 //! Probability Weighting can correct selection bias (Section 3.2 of the
@@ -44,10 +44,6 @@ pub mod special;
 pub use contingency::JointTable;
 pub use frame::{ColumnEncodingReport, EncodedFrame};
 pub use independence::{ci_test, ci_test_table, CiTestConfig, CiTestResult};
-pub use kernel::{
-    adaptive_dense_cells, FixedState, SparseCounts, DEFAULT_DENSE_CELLS, DENSE_CELLS_FLOOR,
-    DENSE_CELLS_PER_ROW,
-};
 pub use measures::{
     conditional_entropy, conditional_entropy_of_table, conditional_mutual_information, entropy,
     joint_entropy, mutual_information,

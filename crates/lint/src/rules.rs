@@ -12,7 +12,8 @@ use crate::diag::{directive_text, Diagnostic, Suppressions};
 use crate::json;
 use crate::lexer::{Token, TokenKind};
 
-/// No `unwrap`/`expect`/`panic!` on the serving path.
+/// No `unwrap`/`expect`/`panic!`/`assert*!`/`unreachable!` on the serving
+/// path (`debug_assert*!` stays allowed).
 pub const RULE_SERVING_PANIC_FREE: &str = "serving-panic-free";
 /// No unchecked indexing on the serving path.
 pub const RULE_SERVING_INDEX: &str = "serving-index";
@@ -50,7 +51,7 @@ pub const KNOWN_RULES: &[&str] = &[
 pub const RULE_TABLE: &[(&str, &str)] = &[
     (
         RULE_SERVING_PANIC_FREE,
-        "no unwrap/expect/panic! in session, cache, pool or the explain path",
+        "no unwrap/expect/panic!/assert*!/unreachable! in session, cache, pool or the explain path",
     ),
     (
         RULE_SERVING_INDEX,
@@ -319,11 +320,13 @@ fn panic_free(rel: &Path, tokens: &[Token], in_test: &[bool], diags: &mut Vec<Di
                 }
                 format!(".{}()", t.text)
             }
-            "panic" => {
+            // Panicking macros; `debug_assert*!` lexes as another ident and
+            // stays allowed.
+            "panic" | "assert" | "assert_eq" | "assert_ne" | "unreachable" => {
                 if !next_code(tokens, i + 1).is_some_and(|n| tokens[n].is_punct('!')) {
                     continue;
                 }
-                "panic!".to_string()
+                format!("{}!", t.text)
             }
             _ => continue,
         };

@@ -1,8 +1,10 @@
 //! Exact-diagnostics tests over the known-bad fixture workspace in
 //! `tests/fixtures/ws`. Every rule has at least one firing case, the two
 //! literal patterns the old CI grep matched (`.unwrap()`, `panic!(`) appear
-//! as serving-path cases, and the suppression machinery is exercised in
-//! both the honored (reasoned) and ignored (reasonless) direction.
+//! as serving-path cases, as does an `assert!` outside tests (the
+//! `debug_assert!` beside it and an `assert_eq!` under `#[cfg(test)]` stay
+//! exempt), and the suppression machinery is exercised in both the honored
+//! (reasoned) and ignored (reasonless) direction.
 
 use std::path::PathBuf;
 
@@ -34,6 +36,7 @@ const EXPECTED: &[(&str, &str, u32, u32)] = &[
     ("serving-panic-free", "crates/mesa/src/session.rs", 8, 26),
     ("serving-panic-free", "crates/mesa/src/session.rs", 10, 9),
     ("serving-index", "crates/mesa/src/session.rs", 12, 21),
+    ("serving-panic-free", "crates/mesa/src/session.rs", 21, 5),
     (
         "fault-point-registry",
         "crates/parallel/src/faults.rs",

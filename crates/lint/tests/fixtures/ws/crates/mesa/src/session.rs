@@ -17,6 +17,12 @@ fn suppressed(xs: &[u32]) -> u32 {
     xs.first().unwrap() + 1
 }
 
+fn checked(xs: &[u32]) -> usize {
+    assert!(!xs.is_empty(), "empty batch");
+    debug_assert!(xs.len() < 1 << 20, "debug assertions stay allowed");
+    xs.len()
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

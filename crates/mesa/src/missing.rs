@@ -149,13 +149,11 @@ impl SelectionDesign {
             }
             let mut next = cell_of_row.clone();
             let mut occupied = [false; MAX_CELLS];
-            for run in col.runs() {
+            let codes = col.access();
+            for (row, cell) in next.iter_mut().enumerate() {
                 // Below `cells · k ≤ MAX_CELLS`, so the sum fits in a byte.
-                let offset = rank[run.value as usize] * cells as u8;
-                for cell in &mut next[run.start..run.end] {
-                    *cell += offset;
-                    occupied[usize::from(*cell)] = true;
-                }
+                *cell += rank[codes.get(row) as usize] * cells as u8;
+                occupied[usize::from(*cell)] = true;
             }
             if occupied.iter().filter(|&&o| o).count() < params + k - 1 {
                 continue;

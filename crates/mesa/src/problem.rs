@@ -451,7 +451,7 @@ pub fn prepare_from_joined(
     // 4. Encoding + candidate assembly. Binned columns flow code-to-code:
     //    their encodings were produced by the binning passes, so only the
     //    remaining (categorical/bool) columns are encoded here.
-    let mut encoded = EncodedFrame::from_frame_with(&frame, encodings);
+    let mut encoded = EncodedFrame::from_frame_with(&frame, encodings)?;
     let candidates: Vec<String> = frame
         .column_names()
         .into_iter()
@@ -463,9 +463,9 @@ pub fn prepare_from_joined(
             "the frame only contains the exposure and outcome".into(),
         ));
     }
-    // 5. Sealing. The session memo holds prepared queries, and compressed
-    //    columns shrink them; every estimator reads them through the
-    //    run-aware kernel folds with bit-identical results.
+    // 5. Sealing. The session memo holds prepared queries, and narrow codes
+    //    shrink them; every estimator reads them in place through the
+    //    kernel's block fold with bit-identical results.
     encoded.seal();
 
     Ok(PreparedQuery {

@@ -127,7 +127,11 @@ fn resolve_threads() -> usize {
 /// (that is what lets CI force the multithread paths on a single-core
 /// runner without patching binaries). Benchmarks and tests call this to get
 /// a deterministic pool size regardless of host core count.
+///
+/// # Panics
+/// Panics if `requested` is 0.
 pub fn set_threads(requested: usize) -> usize {
+    // mesa-lint: allow(serving-panic-free) -- documented contract: a zero thread count is a caller bug, caught before any pool state changes
     assert!(requested >= 1, "thread count must be at least 1");
     let _ = CONFIGURED_THREADS.set(env_threads().unwrap_or(requested));
     resolve_threads()
@@ -137,7 +141,11 @@ pub fn set_threads(requested: usize) -> usize {
 /// calling thread). Nested fan-outs inherit the cap; `cap = 1` forces fully
 /// serial execution. The cap cannot exceed the pool size — excess is
 /// clamped. Restored on unwind.
+///
+/// # Panics
+/// Panics if `cap` is 0.
 pub fn with_thread_cap<R>(cap: usize, f: impl FnOnce() -> R) -> R {
+    // mesa-lint: allow(serving-panic-free) -- documented contract: a zero cap is a caller bug, caught before the cap is installed
     assert!(cap >= 1, "thread cap must be at least 1");
     struct Restore(usize);
     impl Drop for Restore {

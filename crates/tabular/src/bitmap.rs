@@ -128,78 +128,13 @@ impl Bitmap {
         &self.words
     }
 
-    /// Number of set bits in the half-open range `[start, end)`.
-    ///
-    /// Word-level: popcounts whole words, masking only the two boundary
-    /// words. This is how the kernel intersects the complete-case mask with
-    /// one run of a run-length column — a popcount over the run's span
-    /// instead of a per-row bit test.
-    ///
-    /// # Panics
-    /// Panics if `start > end` or `end > len`.
-    pub fn count_set_range(&self, start: usize, end: usize) -> usize {
-        assert!(
-            start <= end && end <= self.len,
-            "range {start}..{end} out of bounds for bitmap of {} bits",
-            self.len
-        );
-        if start == end {
-            return 0;
-        }
-        let (ws, we) = (start / 64, (end - 1) / 64);
-        let head_mask = u64::MAX << (start % 64);
-        let tail_mask = u64::MAX >> (63 - (end - 1) % 64);
-        if ws == we {
-            return (self.words[ws] & head_mask & tail_mask).count_ones() as usize;
-        }
-        let mut n = (self.words[ws] & head_mask).count_ones() as usize;
-        for w in &self.words[ws + 1..we] {
-            n += w.count_ones() as usize;
-        }
-        n + (self.words[we] & tail_mask).count_ones() as usize
-    }
-
-    /// Iterates the indices of the set bits in increasing order.
+    /// Iterates the indices of the set bits in increasing order, a word at
+    /// a time (each word is drained by clearing its lowest set bit).
     pub fn iter_set(&self) -> SetBits<'_> {
-        self.iter_set_range(0, self.len)
-    }
-
-    /// Iterates the set-bit indices of the half-open range `[start, end)` in
-    /// increasing order, using the same word-at-a-time walk as
-    /// [`iter_set`](Bitmap::iter_set) (boundary words are masked once, then
-    /// each word is drained by clearing its lowest set bit).
-    ///
-    /// # Panics
-    /// Panics if `start > end` or `end > len`.
-    pub fn iter_set_range(&self, start: usize, end: usize) -> SetBits<'_> {
-        assert!(
-            start <= end && end <= self.len,
-            "range {start}..{end} out of bounds for bitmap of {} bits",
-            self.len
-        );
-        if start == end {
-            return SetBits {
-                words: &[],
-                word_idx: 0,
-                current: 0,
-                base: 0,
-                tail_mask: 0,
-            };
-        }
-        let (ws, we) = (start / 64, (end - 1) / 64);
-        let words = &self.words[ws..=we];
-        let head_mask = u64::MAX << (start % 64);
-        let tail_mask = u64::MAX >> (63 - (end - 1) % 64);
-        let mut current = words[0] & head_mask;
-        if ws == we {
-            current &= tail_mask;
-        }
         SetBits {
-            words,
+            words: &self.words,
             word_idx: 0,
-            current,
-            base: ws * 64,
-            tail_mask,
+            current: self.words.first().copied().unwrap_or(0),
         }
     }
 
@@ -256,17 +191,12 @@ impl Bitmap {
     }
 }
 
-/// Iterator over the set-bit indices of a [`Bitmap`] (or a range of one, see
-/// [`Bitmap::iter_set_range`]).
+/// Iterator over the set-bit indices of a [`Bitmap`]. See
+/// [`Bitmap::iter_set`].
 pub struct SetBits<'a> {
     words: &'a [u64],
     word_idx: usize,
     current: u64,
-    /// Bit index of `words[0]`'s bit 0 in the source bitmap.
-    base: usize,
-    /// Mask applied to the last word of `words` when it is loaded (range
-    /// iteration truncates the final word).
-    tail_mask: u64,
 }
 
 impl Iterator for SetBits<'_> {
@@ -280,13 +210,10 @@ impl Iterator for SetBits<'_> {
                 return None;
             }
             self.current = self.words[self.word_idx];
-            if self.word_idx == self.words.len() - 1 {
-                self.current &= self.tail_mask;
-            }
         }
         let bit = self.current.trailing_zeros() as usize;
         self.current &= self.current - 1; // drop lowest set bit
-        Some(self.base + self.word_idx * 64 + bit)
+        Some(self.word_idx * 64 + bit)
     }
 }
 
@@ -380,55 +307,6 @@ mod tests {
         assert_eq!(got, vec![0, 63, 126, 189]);
         assert!(Bitmap::new_all_unset(100).iter_set().next().is_none());
         assert_eq!(Bitmap::new_all_set(65).iter_set().count(), 65);
-    }
-
-    #[test]
-    fn count_set_range_matches_naive() {
-        let bm: Bitmap = (0..300).map(|i| i % 3 == 0 || i % 7 == 0).collect();
-        for &(s, e) in &[
-            (0, 0),
-            (0, 300),
-            (0, 1),
-            (5, 64),
-            (63, 65),
-            (64, 128),
-            (64, 129),
-            (10, 250),
-            (299, 300),
-            (128, 128),
-        ] {
-            let naive = (s..e).filter(|&i| bm.get(i)).count();
-            assert_eq!(bm.count_set_range(s, e), naive, "range {s}..{e}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn count_set_range_rejects_bad_range() {
-        Bitmap::new_all_set(10).count_set_range(3, 11);
-    }
-
-    #[test]
-    fn iter_set_range_matches_naive() {
-        let bm: Bitmap = (0..300).map(|i| i % 5 == 0 || i % 11 == 3).collect();
-        for &(s, e) in &[
-            (0, 0),
-            (0, 300),
-            (5, 64),
-            (63, 66),
-            (64, 192),
-            (100, 101),
-            (1, 299),
-        ] {
-            let naive: Vec<usize> = (s..e).filter(|&i| bm.get(i)).collect();
-            let got: Vec<usize> = bm.iter_set_range(s, e).collect();
-            assert_eq!(got, naive, "range {s}..{e}");
-        }
-        // full-range iteration equals iter_set
-        assert_eq!(
-            bm.iter_set().collect::<Vec<_>>(),
-            bm.iter_set_range(0, bm.len()).collect::<Vec<_>>()
-        );
     }
 
     #[test]

@@ -57,5 +57,5 @@ pub use expr::Predicate;
 pub use groupby::{group_aggregate, group_by, Group};
 pub use join::{join, join_name, join_rendered, join_rows, JoinKind};
 pub use query::AggregateQuery;
-pub use storage::{Access, Codes, EncodedColumn, Encoding, EncodingChoice, Run, RunIter};
+pub use storage::{Codes, EncodedColumn, Encoding, EncodingChoice};
 pub use value::{parse_token, DType, Value};

@@ -1,35 +1,27 @@
-//! Encoded columns and their compressed ("sealed") layouts.
+//! Encoded columns and their sealed layouts.
 //!
 //! [`EncodedColumn`] is the one discrete column type: a validity bitmap, a
-//! label per code, and the per-row codes in one of several physical
-//! layouts. Encoding and binning produce the dense layout, one `u32` slot
-//! per row, which is cheap to build and to index.
-//! [`EncodedColumn::seal`] re-lays the codes out in the smallest layout the
-//! column admits and records the decision; the column keeps its type, its
-//! validity and its labels, so every consumer takes `&EncodedColumn`
-//! whatever its layout. The counting kernel reads the codes through
-//! [`Access`]: as a slice of `u8`, `u16` or `u32` codes, or as a [run
-//! iterator](RunIter), without decoding.
+//! label per code, and the per-row codes in one of three physical layouts.
+//! Encoding and binning produce the dense layout, one `u32` slot per row,
+//! which is cheap to build and to index. [`EncodedColumn::seal`] re-lays
+//! the codes out in the narrowest byte-aligned width the column's
+//! cardinality admits and records the decision; the column keeps its type,
+//! its validity and its labels, so every consumer takes `&EncodedColumn`
+//! whatever its layout. The counting kernel reads the codes in place
+//! through [`EncodedColumn::access`], as a slice of `u8`, `u16` or `u32`
+//! codes.
 //!
-//! Every layout is one the kernel reads as it is stored; none packs codes
-//! below a byte, so no fold unpacks bits (compress only in forms execution
-//! can run on, as column stores do):
+//! No layout packs codes below a byte or groups them into runs, so every
+//! fold reads one code per row from a slice and none decodes (compress only
+//! in forms execution can run on, as column stores do):
 //!
-//! * [`Encoding::RunLength`] — `(value, cumulative end)` run pairs; wins on
-//!   sorted or grouped code streams whose runs are long enough to pay 8
-//!   bytes each.
 //! * [`Encoding::Narrow`] — one byte-aligned code per row: a `u8` when the
-//!   column has at most 256 codes, a `u16` when it has at most 65,536;
-//!   wins on shuffled streams, where runs are short but 32 bits per code is
-//!   overkill.
-//! * [`Encoding::Dense`] — the layout encoding produces, kept verbatim; the
-//!   fallback when nothing else is smaller.
+//!   column has at most 256 codes, a `u16` when it has at most 65,536.
+//! * [`Encoding::Dense`] — the layout encoding produces, kept verbatim for
+//!   columns of more than 65,536 codes.
 //!
-//! The selection rule is "smallest encoded payload", with a deterministic
-//! tie-break in the order above (RLE, narrow, dense): the run-iterable
-//! layout first, since the kernel folds a whole run at once. The decision
-//! and the byte counts are recorded per column in [`EncodingChoice`] so
-//! compression ratios are measurable, not anecdotal.
+//! The decision and the byte counts are recorded per column in
+//! [`EncodingChoice`] so compression ratios are measurable, not anecdotal.
 
 use std::borrow::Cow;
 
@@ -39,10 +31,8 @@ use crate::bitmap::Bitmap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Encoding {
     /// Dense `Vec<u32>`, one slot per row (the layout encoding produces,
-    /// kept by sealing when nothing smaller applies).
+    /// kept by sealing when the codes do not fit two bytes).
     Dense,
-    /// Run-length encoding: `(value, cumulative exclusive end)` pairs.
-    RunLength,
     /// One `u8` or `u16` code per row.
     Narrow,
 }
@@ -52,27 +42,23 @@ impl Encoding {
     pub fn name(self) -> &'static str {
         match self {
             Encoding::Dense => "dense",
-            Encoding::RunLength => "rle",
             Encoding::Narrow => "narrow",
         }
     }
 }
 
 /// Why a column's codes are laid out the way they are: the chosen encoding
-/// and the byte counts that drove the choice. Byte counts cover the code
-/// payload only (the validity bitmap and the label dictionary do not change
-/// with the layout and are excluded from the comparison).
+/// and its byte counts. Byte counts cover the code payload only (the
+/// validity bitmap and the label dictionary do not change with the layout
+/// and are excluded).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncodingChoice {
-    /// The encoding the heuristic selected.
+    /// The encoding sealing selected.
     pub encoding: Encoding,
     /// Bytes of the dense code vector: `4 · rows`.
     pub dense_bytes: usize,
     /// Bytes of the selected encoding's code payload.
     pub sealed_bytes: usize,
-    /// Number of maximal equal-code runs in the stream (RLE pays 8 bytes
-    /// per run); 0 for a column that was never sealed.
-    pub n_runs: usize,
 }
 
 /// Per-row codes as one slice of `u8`, `u16` or `u32`: a narrow column's
@@ -88,14 +74,6 @@ pub enum Codes<'a> {
 }
 
 impl Codes<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Codes::U8(c) => c.len(),
-            Codes::U16(c) => c.len(),
-            Codes::U32(c) => c.len(),
-        }
-    }
-
     /// The code of row `i`, widened to `u32`.
     ///
     /// # Panics
@@ -106,22 +84,6 @@ impl Codes<'_> {
             Codes::U8(c) => u32::from(c[i]),
             Codes::U16(c) => u32::from(c[i]),
             Codes::U32(c) => c[i],
-        }
-    }
-
-    /// The first row at or after `from` whose code is not `value` (`len`
-    /// when there is none).
-    fn end_of_run(&self, from: usize, value: u32) -> usize {
-        fn scan<T: Copy + Into<u32>>(codes: &[T], from: usize, value: u32) -> usize {
-            codes[from..]
-                .iter()
-                .position(|&c| c.into() != value)
-                .map_or(codes.len(), |p| from + p)
-        }
-        match self {
-            Codes::U8(c) => scan(c, from, value),
-            Codes::U16(c) => scan(c, from, value),
-            Codes::U32(c) => scan(c, from, value),
         }
     }
 }
@@ -135,87 +97,6 @@ enum Layout {
     U8(Vec<u8>),
     /// Two bytes per row.
     U16(Vec<u16>),
-    /// Run-length pairs: `values[k]` repeats over rows
-    /// `ends[k-1]..ends[k]` (with `ends[-1]` = 0).
-    Rle { values: Vec<u32>, ends: Vec<u32> },
-}
-
-/// One maximal run of equal codes: `value` over rows `start..end`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Run {
-    /// The code repeated across the run.
-    pub value: u32,
-    /// First row of the run.
-    pub start: usize,
-    /// One past the last row of the run.
-    pub end: usize,
-}
-
-enum RunIterInner<'a> {
-    Slice {
-        codes: Codes<'a>,
-        pos: usize,
-    },
-    Rle {
-        values: &'a [u32],
-        ends: &'a [u32],
-        idx: usize,
-    },
-}
-
-/// Iterator over the maximal equal-code runs of a column, in row order. The
-/// runs partition `0..len` (null slots carry code 0 and merge into their
-/// neighbouring runs).
-pub struct RunIter<'a> {
-    inner: RunIterInner<'a>,
-}
-
-impl Iterator for RunIter<'_> {
-    type Item = Run;
-
-    fn next(&mut self) -> Option<Run> {
-        match &mut self.inner {
-            RunIterInner::Slice { codes, pos } => {
-                if *pos >= codes.len() {
-                    return None;
-                }
-                let start = *pos;
-                let value = codes.get(start);
-                *pos = codes.end_of_run(start + 1, value);
-                Some(Run {
-                    value,
-                    start,
-                    end: *pos,
-                })
-            }
-            RunIterInner::Rle { values, ends, idx } => {
-                if *idx >= values.len() {
-                    return None;
-                }
-                let start = if *idx == 0 {
-                    0
-                } else {
-                    ends[*idx - 1] as usize
-                };
-                let run = Run {
-                    value: values[*idx],
-                    start,
-                    end: ends[*idx] as usize,
-                };
-                *idx += 1;
-                Some(run)
-            }
-        }
-    }
-}
-
-/// How the counting kernel reads a column: the access path that is free for
-/// the column's layout.
-pub enum Access<'a> {
-    /// Per-row codes are available as a slice (dense and narrow layouts).
-    Codes(Codes<'a>),
-    /// The column is cheapest to read run-at-a-time (the RLE layout).
-    Runs(RunIter<'a>),
 }
 
 /// The discrete encoding of a column: per-row codes, a validity bitmap
@@ -225,11 +106,10 @@ pub enum Access<'a> {
 /// cell, which lets the information-theoretic kernel compute the
 /// complete-case mask of a multi-column build with one word-wise bitmap
 /// `AND` per column. The codes are laid out densely (`u32` per row) until
-/// [`seal`](EncodedColumn::seal) picks a smaller layout (see the [module
-/// docs](crate::storage)); [`access`](EncodedColumn::access) and
-/// [`runs`](EncodedColumn::runs) read any layout in place. Code slots at
-/// invalid positions hold `0` and carry no meaning; use
-/// [`code_at`](EncodedColumn::code_at) or consult
+/// [`seal`](EncodedColumn::seal) picks a narrower layout (see the [module
+/// docs](crate::storage)); [`access`](EncodedColumn::access) reads any
+/// layout in place. Code slots at invalid positions hold `0` and carry no
+/// meaning; use [`code_at`](EncodedColumn::code_at) or consult
 /// [`validity`](EncodedColumn::validity) before touching
 /// [`codes`](EncodedColumn::codes).
 ///
@@ -382,10 +262,8 @@ impl EncodedColumn {
 
     /// The code of row `i`, or `None` when the row is null.
     ///
-    /// O(1) for the dense and narrow layouts, O(log runs) for RLE;
-    /// consumers that walk many rows should use
-    /// [`access`](EncodedColumn::access) or [`runs`](EncodedColumn::runs)
-    /// instead.
+    /// Consumers that walk many rows should read the code slice of
+    /// [`access`](EncodedColumn::access) instead.
     ///
     /// # Panics
     /// Panics if `i >= len`.
@@ -398,7 +276,6 @@ impl EncodedColumn {
             Layout::Dense(codes) => codes[i],
             Layout::U8(codes) => u32::from(codes[i]),
             Layout::U16(codes) => u32::from(codes[i]),
-            Layout::Rle { values, ends } => values[ends.partition_point(|&e| e as usize <= i)],
         })
     }
 
@@ -407,49 +284,23 @@ impl EncodedColumn {
         (0..self.len()).map(move |i| self.code_at(i))
     }
 
-    /// The per-row codes: zero-copy for the dense layout, a one-shot decode
-    /// (narrow codes widened, runs expanded) for every other. Null slots
-    /// hold 0.
+    /// The per-row codes: zero-copy for the dense layout, narrow codes
+    /// widened in a one-shot decode. Null slots hold 0.
     pub fn codes(&self) -> Cow<'_, [u32]> {
         match &self.layout {
             Layout::Dense(codes) => Cow::Borrowed(codes),
             Layout::U8(codes) => Cow::Owned(codes.iter().map(|&c| u32::from(c)).collect()),
             Layout::U16(codes) => Cow::Owned(codes.iter().map(|&c| u32::from(c)).collect()),
-            Layout::Rle { values, ends } => {
-                let mut out = Vec::with_capacity(self.len());
-                for (&v, &e) in values.iter().zip(ends) {
-                    out.resize(e as usize, v);
-                }
-                Cow::Owned(out)
-            }
         }
     }
 
-    /// How the counting kernel should read this column (see [`Access`]).
-    pub fn access(&self) -> Access<'_> {
+    /// The per-row codes in place, at the layout's width: how the counting
+    /// kernel reads the column.
+    pub fn access(&self) -> Codes<'_> {
         match &self.layout {
-            Layout::Dense(codes) => Access::Codes(Codes::U32(codes)),
-            Layout::U8(codes) => Access::Codes(Codes::U8(codes)),
-            Layout::U16(codes) => Access::Codes(Codes::U16(codes)),
-            Layout::Rle { values, ends } => Access::Runs(RunIter {
-                inner: RunIterInner::Rle {
-                    values,
-                    ends,
-                    idx: 0,
-                },
-            }),
-        }
-    }
-
-    /// Iterates the maximal equal-code runs of the column, in row order.
-    /// Available for every layout (slice layouts group equal adjacent codes
-    /// on the fly; RLE reads its stored runs).
-    pub fn runs(&self) -> RunIter<'_> {
-        match self.access() {
-            Access::Codes(codes) => RunIter {
-                inner: RunIterInner::Slice { codes, pos: 0 },
-            },
-            Access::Runs(runs) => runs,
+            Layout::Dense(codes) => Codes::U32(codes),
+            Layout::U8(codes) => Codes::U8(codes),
+            Layout::U16(codes) => Codes::U16(codes),
         }
     }
 
@@ -465,21 +316,19 @@ impl EncodedColumn {
     }
 
     /// The recorded sealing decision and byte accounting. A column that was
-    /// never sealed reports the dense layout, no compression and no runs
-    /// counted.
+    /// never sealed reports the dense layout and no compression.
     pub fn choice(&self) -> EncodingChoice {
         self.choice.unwrap_or(EncodingChoice {
             encoding: Encoding::Dense,
             dense_bytes: 4 * self.len(),
             sealed_bytes: 4 * self.len(),
-            n_runs: 0,
         })
     }
 
-    /// Seals the column: re-lays its codes out in the smallest applicable
-    /// layout and records the decision. See the [module docs](crate::storage)
-    /// for the encodings and the selection heuristic. Sealing a sealed
-    /// column returns it unchanged.
+    /// Seals the column: re-lays its codes out in the narrowest byte-aligned
+    /// width its cardinality admits (see the [module docs](crate::storage))
+    /// and records the decision. Sealing a sealed column returns it
+    /// unchanged.
     ///
     /// The validity bitmap and the label dictionary move over unchanged;
     /// [`decode`](EncodedColumn::decode) reproduces a column equal to
@@ -490,61 +339,27 @@ impl EncodedColumn {
             return self;
         };
         let n = codes.len();
-        let max_code = u32::try_from(self.cardinality().saturating_sub(1)).unwrap_or(u32::MAX);
-        let n_runs = usize::from(n > 0) + codes.windows(2).filter(|w| w[0] != w[1]).count();
-        let dense_bytes = 4 * n;
-        let narrow_bytes = if max_code <= u32::from(u8::MAX) {
-            n
-        } else if max_code <= u32::from(u16::MAX) {
-            2 * n
-        } else {
-            usize::MAX
-        };
-
-        // Smallest payload wins; ties prefer RLE, then narrow codes, with
-        // dense as the fallback — the kernel folds runs fastest, so at equal
-        // size the runnier layout is the better pick. The candidate order is
-        // the documented tie-break: `min_by_key` keeps the first minimum.
-        let (encoding, sealed_bytes) = [
-            (Encoding::RunLength, 8 * n_runs),
-            (Encoding::Narrow, narrow_bytes),
-            (Encoding::Dense, dense_bytes),
-        ]
-        .into_iter()
-        .min_by_key(|&(_, bytes)| bytes)
-        .unwrap_or((Encoding::Dense, dense_bytes));
-
-        // The narrow casts are exact: every slot holds at most `max_code`.
-        let layout = match encoding {
-            Encoding::RunLength => {
-                assert!(n <= u32::MAX as usize, "RLE run ends must fit in u32");
-                let mut values = Vec::with_capacity(n_runs);
-                let mut ends = Vec::with_capacity(n_runs);
-                for (i, w) in codes.windows(2).enumerate() {
-                    if w[0] != w[1] {
-                        values.push(w[0]);
-                        ends.push(i as u32 + 1);
-                    }
-                }
-                if let Some(&last) = codes.last() {
-                    values.push(last);
-                    ends.push(n as u32);
-                }
-                Layout::Rle { values, ends }
-            }
-            Encoding::Narrow if max_code <= u32::from(u8::MAX) => {
-                Layout::U8(codes.iter().map(|&c| c as u8).collect())
-            }
-            Encoding::Narrow => Layout::U16(codes.iter().map(|&c| c as u16).collect()),
-            Encoding::Dense => self.layout,
+        // The narrow casts are exact: every slot holds a code below the
+        // cardinality (or 0 under a null).
+        let (encoding, width, layout) = match self.cardinality() {
+            0..=256 => (
+                Encoding::Narrow,
+                1,
+                Layout::U8(codes.iter().map(|&c| c as u8).collect()),
+            ),
+            257..=65_536 => (
+                Encoding::Narrow,
+                2,
+                Layout::U16(codes.iter().map(|&c| c as u16).collect()),
+            ),
+            _ => (Encoding::Dense, 4, self.layout),
         };
         EncodedColumn {
             layout,
             choice: Some(EncodingChoice {
                 encoding,
-                dense_bytes,
-                sealed_bytes,
-                n_runs,
+                dense_bytes: 4 * n,
+                sealed_bytes: width * n,
             }),
             ..self
         }
@@ -602,23 +417,17 @@ mod tests {
     }
 
     #[test]
-    fn seal_constant_column_is_rle() {
+    fn seal_constant_column_is_narrow() {
         let c = enc(&[Some("x"); 500]);
         let s = c.clone().seal();
-        assert_eq!(s.encoding(), Encoding::RunLength);
-        assert_eq!(s.choice().n_runs, 1);
+        assert_eq!(s.encoding(), Encoding::Narrow);
         assert_eq!(s.choice().dense_bytes, 2000);
-        assert_eq!(s.choice().sealed_bytes, 8);
+        assert_eq!(s.choice().sealed_bytes, 500);
+        match s.access() {
+            Codes::U8(codes) => assert_eq!(codes, [0; 500]),
+            _ => panic!("a one-code column must seal to u8 codes"),
+        }
         assert_eq!(s.decode(), c);
-        let runs: Vec<Run> = s.runs().collect();
-        assert_eq!(
-            runs,
-            vec![Run {
-                value: 0,
-                start: 0,
-                end: 500
-            }]
-        );
     }
 
     #[test]
@@ -632,31 +441,28 @@ mod tests {
         // 6 distinct values -> one byte per code, a quarter of dense
         assert_eq!(s.choice().sealed_bytes, 1000);
         assert_eq!(s.choice().sealed_bytes * 4, s.choice().dense_bytes);
-        assert!(matches!(s.access(), Access::Codes(Codes::U8(_))));
+        assert!(matches!(s.access(), Codes::U8(_)));
         assert_eq!(s.decode(), c);
     }
 
     #[test]
     fn seal_sorted_keys_is_narrow() {
-        // A sorted integer key with 1000 distinct codes: every run is one
-        // row long, so two bytes per row of narrow codes beat RLE's eight.
+        // A sorted integer key with 1000 distinct codes: two bytes per row.
         let codes: Vec<u32> = (0..1000).collect();
         let labels: Vec<String> = codes.iter().map(|c| c.to_string()).collect();
         let c = EncodedColumn::from_codes(codes, labels);
         let s = c.clone().seal();
         assert_eq!(s.encoding(), Encoding::Narrow);
         assert_eq!(s.choice().sealed_bytes, 2000);
-        assert!(matches!(s.access(), Access::Codes(Codes::U16(_))));
+        assert!(matches!(s.access(), Codes::U16(_)));
         assert_eq!(s.decode(), c);
-        assert_eq!(s.runs().count(), 1000);
         assert_eq!(s.code_at(423), Some(423));
     }
 
     #[test]
     fn seal_wide_shuffled_column_stays_dense() {
-        // 65,537 distinct codes in shuffled order: narrow codes cannot hold
-        // them and RLE pays 8 bytes per row, so the dense fallback is the
-        // minimum.
+        // 65,537 distinct codes: two bytes cannot hold them, so the column
+        // keeps its dense layout.
         const N: u32 = 65_537;
         let codes: Vec<u32> = (0..N).map(|i| (i * 7919) % N).collect();
         let labels: Vec<String> = (0..N).map(|c| c.to_string()).collect();
@@ -666,20 +472,7 @@ mod tests {
         assert!(s.is_sealed());
         assert_eq!(s.choice().dense_bytes, 4 * N as usize);
         assert_eq!(s.choice().sealed_bytes, 4 * N as usize);
-        assert!(matches!(s.access(), Access::Codes(Codes::U32(_))));
-        assert_eq!(s.decode(), c);
-    }
-
-    #[test]
-    fn tie_break_prefers_run_iterable() {
-        // Two runs of eight rows: RLE (two 8-byte runs) ties one byte per
-        // row of narrow codes; the documented tie-break picks the
-        // run-iterable layout.
-        let vals: Vec<Option<&str>> = (0..16).map(|i| Some(["x", "y"][i / 8])).collect();
-        let c = enc(&vals);
-        let s = c.clone().seal();
-        assert_eq!(s.choice().sealed_bytes, 16);
-        assert_eq!(s.encoding(), Encoding::RunLength);
+        assert!(matches!(s.access(), Codes::U32(_)));
         assert_eq!(s.decode(), c);
     }
 
@@ -717,58 +510,34 @@ mod tests {
         assert_eq!(s.len(), 0);
         assert!(s.is_empty());
         assert_eq!(s.decode(), c);
-        assert_eq!(s.runs().count(), 0);
+        assert_eq!(s.encoding(), Encoding::Narrow);
+        assert_eq!(s.choice().sealed_bytes, 0);
     }
 
     #[test]
-    fn rle_random_access_binary_search() {
-        // Three runs of 100 rows each: 24 RLE bytes vs 1200 dense, so RLE
-        // wins and `code_at` goes through the binary search.
-        let vals: Vec<Option<&str>> = (0..300).map(|i| Some(["a", "b", "c"][i / 100])).collect();
-        let c = enc(&vals);
-        let s = c.clone().seal();
-        assert_eq!(s.encoding(), Encoding::RunLength);
-        for i in (0..c.len()).step_by(7) {
-            assert_eq!(s.code_at(i), c.code_at(i), "row {i}");
-        }
-        assert_eq!(s.code_at(99), Some(0));
-        assert_eq!(s.code_at(100), Some(1));
-        assert_eq!(s.code_at(299), Some(2));
-    }
-
-    #[test]
-    fn access_exposes_slices_or_runs() {
+    fn access_exposes_code_slices() {
         let narrow = enc(&[Some("a"), Some("b"), Some("a")]).seal();
-        assert!(matches!(narrow.access(), Access::Codes(Codes::U8(_))));
+        match narrow.access() {
+            Codes::U8(codes) => assert_eq!(codes, [0, 1, 0]),
+            _ => panic!("2 codes must seal to u8 narrow codes"),
+        }
         let labels: Vec<String> = (0..257).map(|c| c.to_string()).collect();
         let wide = EncodedColumn::from_codes(vec![256, 0, 256], labels).seal();
         match wide.access() {
-            Access::Codes(Codes::U16(codes)) => assert_eq!(codes, [256, 0, 256]),
+            Codes::U16(codes) => assert_eq!(codes, [256, 0, 256]),
             _ => panic!("257 codes must seal to u16 narrow codes"),
         }
         let plain = enc(&[Some("a")]);
-        assert!(matches!(plain.access(), Access::Codes(Codes::U32(_))));
-        let rle = enc(&[Some("a"); 100]).seal();
-        match rle.access() {
-            Access::Runs(mut runs) => {
-                assert_eq!(
-                    runs.next(),
-                    Some(Run {
-                        value: 0,
-                        start: 0,
-                        end: 100
-                    })
-                );
-                assert_eq!(runs.next(), None);
-            }
-            Access::Codes(_) => panic!("RLE column must expose runs"),
+        match plain.access() {
+            Codes::U32(codes) => assert_eq!(codes, [0]),
+            _ => panic!("an unsealed column must expose its dense codes"),
         }
+        assert_eq!(wide.access().get(0), 256);
     }
 
     #[test]
     fn encoding_names_are_stable() {
         assert_eq!(Encoding::Dense.name(), "dense");
-        assert_eq!(Encoding::RunLength.name(), "rle");
         assert_eq!(Encoding::Narrow.name(), "narrow");
     }
 }

@@ -1,16 +1,20 @@
 //! Property tests for the sealed column layouts: sealing must change an
 //! `EncodedColumn`'s layout and nothing else — every accessor and `decode`
 //! reproduce the dense-layout column exactly for every encoding and null
-//! pattern — and the kernel's production folds must produce
+//! pattern — and the kernel's production block fold must produce
 //! **bit-identical** counts to the row-at-a-time reference fold — on
-//! shuffled (narrow-leaning) and adversarially runny (RLE-leaning) inputs
-//! alike, and at the boundaries of the narrow code widths.
+//! shuffled and adversarially runny inputs alike, at the boundaries of the
+//! narrow code widths, and on the frames MESA's preparation seals.
 
 use proptest::prelude::*;
 
+use mesa_repro::datagen::{
+    build_kg, representative_queries, Dataset, KgConfig, World, WorldConfig,
+};
 use mesa_repro::infotheory::kernel::{accumulate, reference_accumulate, Accumulated};
 use mesa_repro::infotheory::{conditional_mutual_information, entropy, mutual_information};
-use mesa_repro::tabular::{Access, Codes, EncodedColumn, Encoding, Run};
+use mesa_repro::mesa::Mesa;
+use mesa_repro::tabular::{Codes, EncodedColumn, Encoding};
 
 /// Strategy: per-row cells with `0` = missing and `v >= 1` = code `v - 1`
 /// (same convention as `tests/kernel_equivalence.rs`).
@@ -36,10 +40,9 @@ fn to_column(cells: &[u32], card: u32) -> EncodedColumn {
 
 /// Asserts that sealing changes the column's layout and nothing else: every
 /// accessor of the sealed form — labels, validity, whole-column codes,
-/// per-row random access, the run view — matches the dense-layout column;
-/// the access path (slice width or runs) is the one the recorded encoding
-/// names, at the recorded byte count; `decode` round-trips exactly and a
-/// second seal changes nothing.
+/// per-row random access — matches the dense-layout column; the slice width
+/// of `access` is the one the recorded encoding names, at the recorded byte
+/// count; `decode` round-trips exactly and a second seal changes nothing.
 fn assert_seal_round_trip(col: &EncodedColumn) {
     assert!(!col.is_sealed());
     assert_eq!(col.encoding(), Encoding::Dense);
@@ -68,10 +71,9 @@ fn assert_seal_round_trip(col: &EncodedColumn) {
     }
     let choice = sealed.choice();
     let (encoding, payload) = match sealed.access() {
-        Access::Codes(Codes::U8(codes)) => (Encoding::Narrow, codes.len()),
-        Access::Codes(Codes::U16(codes)) => (Encoding::Narrow, 2 * codes.len()),
-        Access::Codes(Codes::U32(codes)) => (Encoding::Dense, 4 * codes.len()),
-        Access::Runs(runs) => (Encoding::RunLength, 8 * runs.count()),
+        Codes::U8(codes) => (Encoding::Narrow, codes.len()),
+        Codes::U16(codes) => (Encoding::Narrow, 2 * codes.len()),
+        Codes::U32(codes) => (Encoding::Dense, 4 * codes.len()),
     };
     assert_eq!(
         sealed.encoding(),
@@ -81,21 +83,6 @@ fn assert_seal_round_trip(col: &EncodedColumn) {
     assert_eq!(choice.encoding, encoding);
     assert_eq!(choice.sealed_bytes, payload);
     assert_eq!(choice.dense_bytes, 4 * col.len());
-    // Both layouts yield the same maximal runs; they partition the column
-    // and agree with the raw codes (code slots under nulls included —
-    // sealing preserves them).
-    let runs: Vec<Run> = sealed.runs().collect();
-    assert_eq!(runs, col.runs().collect::<Vec<_>>());
-    assert_eq!(runs.len(), choice.n_runs);
-    let codes = col.codes();
-    let mut pos = 0usize;
-    for run in &runs {
-        assert_eq!(run.start, pos, "runs must partition the column");
-        assert!(run.end > run.start);
-        assert!(codes[run.start..run.end].iter().all(|&c| c == run.value));
-        pos = run.end;
-    }
-    assert_eq!(pos, col.len());
 }
 
 /// Asserts that `got` matches the reference fold's `oracle` bit for bit:
@@ -126,8 +113,8 @@ fn assert_bitwise_kernel_parity(cols: &[&EncodedColumn], weights: Option<&[f64]>
     let sealed: Vec<&EncodedColumn> = sealed.iter().collect();
     for dense_cells in [1usize << 20, 0] {
         let reference = reference_accumulate(cols, weights, dense_cells).unwrap();
-        let run_aware = accumulate(&sealed, weights, dense_cells).unwrap();
-        assert_bitwise_equal(&run_aware, &reference);
+        let narrow = accumulate(&sealed, weights, dense_cells).unwrap();
+        assert_bitwise_equal(&narrow, &reference);
         assert_bitwise_equal(&accumulate(cols, weights, dense_cells).unwrap(), &reference);
     }
 }
@@ -151,8 +138,8 @@ proptest! {
         assert_seal_round_trip(&to_column(&xs, 4));
     }
 
-    /// Sorted fully-observed integer keys round-trip (long runs seal to RLE,
-    /// one-row runs to narrow codes).
+    /// Sorted fully-observed integer keys round-trip (keys below 256 seal
+    /// to `u8` codes, larger ones to `u16`).
     #[test]
     fn seal_round_trips_sorted_keys(ks in prop::collection::vec(0u32..5000, 1..120)) {
         let mut ks = ks.clone();
@@ -160,11 +147,8 @@ proptest! {
         let card = ks.last().copied().unwrap_or(0) + 1;
         let labels = (0..card).map(|c| c.to_string()).collect();
         let col = EncodedColumn::from_codes(ks, labels);
-        // Keys below 5,000 fit narrow codes, so the layout is never dense
-        // (beyond trivial columns).
-        if col.len() > 8 {
-            prop_assert!(col.clone().seal().encoding() != Encoding::Dense);
-        }
+        // Keys below 5,000 fit narrow codes, so the layout is never dense.
+        prop_assert_eq!(col.clone().seal().encoding(), Encoding::Narrow);
         assert_seal_round_trip(&col);
     }
 
@@ -180,7 +164,7 @@ proptest! {
         assert_bitwise_kernel_parity(&[&x, &y], None);
     }
 
-    /// Kernel parity on adversarially runny columns (RLE-heavy, unequal run
+    /// Kernel parity on adversarially runny columns (long runs, unequal run
     /// boundaries between the two columns), weighted with zeros included.
     #[test]
     fn sealed_kernel_matches_oracle_runny(
@@ -252,8 +236,8 @@ proptest! {
         }
     }
 
-    /// Footprint sanity: sealing never increases the code payload, and runny
-    /// columns compress.
+    /// Footprint sanity: sealing never increases the code payload, and
+    /// columns of few codes compress.
     #[test]
     fn sealing_never_grows_the_payload(
         vals in prop::collection::vec(0u32..=3, 1..6),
@@ -263,10 +247,8 @@ proptest! {
         let col = to_column(&xs, 3);
         let choice = col.clone().seal().choice();
         prop_assert!(choice.sealed_bytes <= choice.dense_bytes);
-        if col.len() >= 64 {
-            // six runs over 64+ rows must beat 4 bytes/row handily
-            prop_assert!(choice.sealed_bytes * 2 <= choice.dense_bytes);
-        }
+        // three codes take one byte per row, a quarter of the dense payload
+        prop_assert_eq!(choice.sealed_bytes * 4, choice.dense_bytes);
     }
 }
 
@@ -290,9 +272,9 @@ fn boundary_column(len: usize, card: u32, nulls: bool) -> EncodedColumn {
 /// (`u16` → dense). On both sides of each switch, at lengths around one
 /// validity word, with and without nulls: the sealed column round-trips,
 /// picks the expected layout and width, never outgrows the dense payload,
-/// and folds bit-identically to the reference on the block path (beside a
-/// dense-layout column) and the segment path (beside an RLE column, and
-/// beside both), weighted and unweighted, at both table layouts.
+/// and folds bit-identically to the reference beside a dense-layout column,
+/// beside a sealed constant (runny) column, and beside both, weighted and
+/// unweighted, at both table layouts.
 #[test]
 fn narrow_width_boundaries_round_trip_and_fold_like_the_reference() {
     for card in [256u32, 257, 65_536, 65_537] {
@@ -309,30 +291,25 @@ fn narrow_width_boundaries_round_trip_and_fold_like_the_reference() {
                     257..=65_536 => 2,
                     _ => 4,
                 };
-                let encoding = match (len, width) {
-                    (0, _) => Encoding::RunLength,
-                    (_, 4) => Encoding::Dense,
+                let encoding = match width {
+                    4 => Encoding::Dense,
                     _ => Encoding::Narrow,
                 };
                 assert_eq!(sealed.encoding(), encoding, "{case}");
-                if len > 0 {
-                    assert_eq!(choice.sealed_bytes, width * len, "{case}");
-                    let got = match sealed.access() {
-                        Access::Codes(Codes::U8(_)) => 1,
-                        Access::Codes(Codes::U16(_)) => 2,
-                        Access::Codes(Codes::U32(_)) => 4,
-                        Access::Runs(_) => 0,
-                    };
-                    assert_eq!(got, width, "{case}");
-                }
+                assert_eq!(choice.sealed_bytes, width * len, "{case}");
+                let got = match sealed.access() {
+                    Codes::U8(_) => 1,
+                    Codes::U16(_) => 2,
+                    Codes::U32(_) => 4,
+                };
+                assert_eq!(got, width, "{case}");
 
-                // A runny column that seals to RLE wherever RLE can win
-                // (one run costs 8 bytes, narrow codes one per row).
+                // A runny (constant) column of three codes: one byte per
+                // row, whatever its length.
                 let runny = to_column(&vec![2; len], 3);
                 let sealed_runny = runny.clone().seal();
-                if len != 1 {
-                    assert_eq!(sealed_runny.encoding(), Encoding::RunLength, "{case}");
-                }
+                assert_eq!(sealed_runny.encoding(), Encoding::Narrow, "{case}");
+                assert_eq!(sealed_runny.choice().sealed_bytes, len, "{case}");
                 let plain = boundary_column(len, 3, !nulls);
                 let weights: Vec<f64> = (0..len).map(|i| (i % 4) as f64 * 0.5).collect();
                 let combos: [(&[&EncodedColumn], &[&EncodedColumn]); 3] = [
@@ -352,4 +329,61 @@ fn narrow_width_boundaries_round_trip_and_fold_like_the_reference() {
             }
         }
     }
+}
+
+/// The frames MESA's preparation seals fold like the reference: on the
+/// fixture of `tests/layout_invariance.rs` (the default world and knowledge
+/// graph, 1,000 rows per dataset, Table 2's 14 queries), the fold of
+/// `[O, T, E]` over the sealed prepared columns equals the reference fold
+/// bit for bit for every candidate `E`, at both table layouts, unweighted
+/// and with `E`'s IPW weights where the report has them. The prepared
+/// frames include constant `type` columns, which seal to one-byte codes
+/// like every column of at most 256 codes.
+#[test]
+fn prepared_frames_fold_like_the_reference() {
+    let world = World::generate(WorldConfig::default());
+    let graph = build_kg(&world, KgConfig::default());
+    let frames: Vec<(Dataset, _)> = Dataset::all()
+        .into_iter()
+        .map(|d| (d, d.generate(&world, 1000, 1234).unwrap()))
+        .collect();
+    let mesa = Mesa::new();
+    let (mut folds, mut weighted, mut constant_types) = (0usize, 0usize, 0usize);
+    for wq in representative_queries() {
+        let df = &frames.iter().find(|(d, _)| *d == wq.dataset).unwrap().1;
+        let columns = wq.dataset.extraction_columns();
+        let prepared = mesa.prepare(df, &wq.query, Some(&graph), columns).unwrap();
+        let report = mesa.explain_prepared(&prepared).unwrap();
+        let encoded = &prepared.encoded;
+        assert!(encoded.is_sealed(), "{}", wq.id);
+        let o = encoded.column(prepared.outcome()).unwrap();
+        let t = encoded.column(prepared.exposure()).unwrap();
+        for name in &prepared.candidates {
+            let e = encoded.column(name).unwrap();
+            if name == "type" && e.cardinality() == 1 {
+                assert_eq!(e.encoding(), Encoding::Narrow, "{} {name}", wq.id);
+                constant_types += 1;
+            }
+            let ipw = report
+                .selection_bias
+                .get(name)
+                .and_then(|info| info.weights.as_deref());
+            let cols = [o, t, e];
+            for weights in std::iter::once(None).chain(ipw.map(Some)) {
+                for dense_cells in [1usize << 20, 0] {
+                    let oracle = reference_accumulate(&cols, weights, dense_cells).unwrap();
+                    let got = accumulate(&cols, weights, dense_cells).unwrap();
+                    assert_bitwise_equal(&got, &oracle);
+                }
+            }
+            folds += 1;
+            weighted += usize::from(ipw.is_some());
+        }
+    }
+    assert!(folds > 0);
+    assert!(weighted > 0, "the fixture must carry IPW weights");
+    assert!(
+        constant_types > 0,
+        "the fixture must hold a constant `type` column"
+    );
 }
