@@ -18,11 +18,11 @@
 //!   only the code width the kernel reads differs.
 //!
 //! The committed copy is the paper-scale (`MESA_SCALE=paper`) baseline: it
-//! is the record of the footprint reduction sealing buys on the session's
-//! prepared-query memo, and of the sealed kernel paths holding the dense
-//! paths' throughput. Sealing trades compression for fold speed: every
-//! layout is a byte-aligned slice, so the sealed folds read one code per
-//! row and never unpack bits.
+//! is the record of the footprint reduction sealing buys on every prepared
+//! query, and of the sealed kernel paths holding the dense paths'
+//! throughput. Sealing trades compression for fold speed: every layout is
+//! a byte-aligned slice, so the sealed folds read one code per row and
+//! never unpack bits.
 
 use bench::report::BenchReport;
 use bench::{prepare_workload, ExperimentData, Scale};

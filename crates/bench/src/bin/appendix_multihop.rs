@@ -27,16 +27,16 @@ fn main() {
             ..Default::default()
         };
         let mesa = Mesa::with_config(config);
-        // One session per hop configuration: the hops are part of the
-        // extraction cache key, so the two cannot alias.
-        let session = mesa.session(
-            covid,
-            Some(&data.graph),
-            Dataset::Covid.extraction_columns(),
-        );
         let start = Instant::now();
-        let prepared = session.prepare(&query).expect("prepare");
-        let report = session.explain(&query).expect("explain");
+        let prepared = mesa
+            .prepare(
+                covid,
+                &query,
+                Some(&data.graph),
+                Dataset::Covid.extraction_columns(),
+            )
+            .expect("prepare");
+        let report = mesa.explain_prepared(&prepared).expect("explain");
         let elapsed = start.elapsed();
         println!(
             "hops = {hops}: {} candidate attributes ({} extracted), explanation = [{}], {:?}",

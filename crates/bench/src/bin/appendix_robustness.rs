@@ -93,7 +93,6 @@ fn main() {
         SessionLimits::unbounded(),
     );
     let tight = SessionLimits {
-        prepared: CacheBudget::entries(1),
         reports: CacheBudget::entries(1),
         extraction: CacheBudget::entries(1),
     };
@@ -150,8 +149,8 @@ fn main() {
         bounded_stats.reports.evictions
     );
     println!(
-        "  unbounded resident         {:>10} B prepared, {} B reports\n",
-        unbounded_stats.prepared.resident_bytes, unbounded_stats.reports.resident_bytes
+        "  unbounded resident         {:>10} B reports\n",
+        unbounded_stats.reports.resident_bytes
     );
 
     // -- In-flight dedup of concurrent identical misses -------------------

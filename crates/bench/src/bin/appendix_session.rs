@@ -147,7 +147,7 @@ fn main() {
         let stats = sessions.session(*dataset).cache_stats();
         let extraction = stats.extraction.unwrap_or_default();
         println!(
-            "  {:<14} extraction {} entries ({} hits / {} misses), prepared {} memoized, reports {} memoized",
+            "  {:<14} extraction {} entries ({} hits / {} misses), {} preparations, reports {} memoized",
             dataset.name(),
             extraction.entries,
             extraction.hits,

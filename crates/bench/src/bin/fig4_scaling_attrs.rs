@@ -57,7 +57,7 @@ fn main() {
             let mut cands = prepared.candidates.clone();
             cands.shuffle(&mut rng);
             cands.truncate(n_attrs);
-            let mut sub = prepared.as_ref().clone();
+            let mut sub = prepared.clone();
             sub.candidates = cands;
             let mut times = Vec::new();
             for name in ["No Pruning", "Offline Pruning", "MCIMR"] {

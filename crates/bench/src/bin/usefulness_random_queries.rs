@@ -6,12 +6,14 @@
 
 use bench::{DatasetSessions, ExperimentData, Scale};
 use datagen::{random_queries, Dataset};
+use mesa::Mesa;
 
 fn main() {
     let data = ExperimentData::generate(Scale::from_env());
     // Random queries share each dataset's session: overlapping contexts land
     // on the same distinct-value sets and reuse the cached extraction.
     let sessions = DatasetSessions::new(&data);
+    let mesa = Mesa::new();
     let mut useful = 0usize;
     let mut total = 0usize;
     println!("== Usefulness over random aggregate queries (Section 5.1) ==\n");
@@ -24,7 +26,7 @@ fn main() {
                 Ok(p) => p,
                 Err(_) => continue,
             };
-            let report = match sessions.explain(&wq) {
+            let report = match mesa.explain_prepared(&prepared) {
                 Ok(r) => r,
                 Err(_) => continue,
             };

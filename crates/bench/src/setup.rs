@@ -155,12 +155,9 @@ impl<'a> DatasetSessions<'a> {
             .1
     }
 
-    /// Prepares a workload query through its dataset's session (cached
-    /// extraction, memoized repeats).
-    pub fn prepare(
-        &self,
-        wq: &datagen::WorkloadQuery,
-    ) -> mesa::Result<std::sync::Arc<mesa::PreparedQuery>> {
+    /// Prepares a workload query through its dataset's session, which
+    /// serves the extraction from its cache and keeps no preparation.
+    pub fn prepare(&self, wq: &datagen::WorkloadQuery) -> mesa::Result<mesa::PreparedQuery> {
         self.session(wq.dataset).prepare(&wq.query)
     }
 

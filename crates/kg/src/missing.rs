@@ -8,7 +8,7 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use tabular::{DataFrame, Result};
+use tabular::{DataFrame, Result, Value};
 
 /// Removes (sets to null) a `fraction` of the currently non-null cells of
 /// `column`, chosen uniformly at random.
@@ -37,21 +37,22 @@ pub fn remove_at_random<R: Rng>(
 ///
 /// For categorical columns the "highest" values are the lexicographically
 /// largest, which is still a deterministic, value-dependent (hence biased)
-/// removal rule.
+/// removal rule. NaN cells count as missing, as binning treats them: they
+/// are neither removed nor counted in the fraction.
 pub fn remove_biased(df: &DataFrame, column: &str, fraction: f64) -> Result<DataFrame> {
     let fraction = fraction.clamp(0.0, 1.0);
     let mut out = df.clone();
     let col = out.column(column)?;
-    let mut present: Vec<usize> = (0..col.len()).filter(|&i| !col.is_null_at(i)).collect();
-    // Sort descending by value.
-    present.sort_by(|&a, &b| {
-        let va = col.get(a).expect("in range");
-        let vb = col.get(b).expect("in range");
-        vb.partial_cmp(&va).unwrap_or(std::cmp::Ordering::Equal)
-    });
+    let mut present: Vec<(usize, Value)> = col
+        .iter_values()
+        .enumerate()
+        .filter(|(_, v)| !v.is_null() && !v.as_f64().is_some_and(f64::is_nan))
+        .collect();
+    // Sort descending by value; equal values keep row order.
+    present.sort_by(|(_, a), (_, b)| b.total_cmp(a));
     let n_remove = (present.len() as f64 * fraction).round() as usize;
     let col = out.column_mut(column)?;
-    for &i in present.iter().take(n_remove) {
+    for &(i, _) in present.iter().take(n_remove) {
         col.set_null(i)?;
     }
     Ok(out)
@@ -160,6 +161,23 @@ mod tests {
         }
         for i in 0..80 {
             assert!(!col.is_null_at(i));
+        }
+    }
+
+    #[test]
+    fn biased_removal_leaves_nan_cells_and_does_not_count_them() {
+        // Every third of 21 cells is NaN; the other 14 hold their row index.
+        let cells: Vec<Option<f64>> = (0..21)
+            .map(|i| Some(if i % 3 == 0 { f64::NAN } else { i as f64 }))
+            .collect();
+        let base = DataFrameBuilder::new().float("x", cells).build().unwrap();
+        let out = remove_biased(&base, "x", 0.5).unwrap();
+        let col = out.column("x").unwrap();
+        // half of the 14 numbers: rows 11, 13, 14, 16, 17, 19 and 20
+        assert_eq!(col.null_count(), 7);
+        for i in 0..21 {
+            let removed = i > 10 && i % 3 != 0;
+            assert_eq!(col.is_null_at(i), removed, "row {i}");
         }
     }
 

@@ -5,7 +5,7 @@
 //! small Covid-19 and Forbes datasets and always after pruning. It serves as
 //! the gold standard for explainability scores (Figure 2).
 
-use crate::error::Result;
+use crate::error::{MesaError, Result};
 use crate::problem::{Explanation, PreparedQuery};
 use crate::responsibility::responsibilities;
 
@@ -18,32 +18,38 @@ fn sorted(subset: &[String]) -> Vec<&str> {
     names
 }
 
+const MAX_CANDIDATES: usize = 20;
+
 /// Exhaustively searches all subsets of `candidates` with `1 ≤ |E| ≤ k` and
 /// returns the one minimising the Definition 2.1 objective
-/// `I(O;T|E,C) · |E|`.
+/// `I(O;T|E,C) · |E|`. The search visits `2^n` subsets, so more than 20
+/// candidates are refused with [`MesaError::InvalidInput`].
 pub fn brute_force(
     prepared: &PreparedQuery,
     candidates: &[String],
     k: usize,
 ) -> Result<Explanation> {
+    let n = candidates.len();
+    if n > MAX_CANDIDATES {
+        return Err(MesaError::InvalidInput(format!(
+            "brute force searches at most {MAX_CANDIDATES} candidates, got {n}"
+        )));
+    }
     let baseline = prepared.baseline_cmi();
     if candidates.is_empty() || k == 0 {
         return Ok(Explanation::empty(baseline));
     }
-    let n = candidates.len();
     let k = k.min(n);
     let mut best: Option<(Vec<String>, f64, f64)> = None; // (set, objective, cmi)
 
-    // Iterate subsets by bitmask; skip subsets larger than k. For the sizes
-    // the paper uses this after pruning (tens of candidates at most on the
-    // small datasets), this is tractable.
-    let max_mask: u64 = 1u64 << n.min(20);
+    // Iterate subsets by bitmask; skip subsets larger than k.
+    let max_mask: u64 = 1u64 << n;
     for mask in 1..max_mask {
         let size = mask.count_ones() as usize;
         if size > k {
             continue;
         }
-        let subset: Vec<String> = (0..n.min(20))
+        let subset: Vec<String> = (0..n)
             .filter(|i| mask & (1 << i) != 0)
             .map(|i| candidates[i].clone())
             .collect();
@@ -159,6 +165,21 @@ mod tests {
         let e = brute_force(&p, &cands, 1).unwrap();
         assert_eq!(e.len(), 1);
         assert_eq!(e.attributes[0], "GDP");
+    }
+
+    #[test]
+    fn more_than_twenty_candidates_are_refused() {
+        let p = prepared();
+        let cands: Vec<String> = ["GDP", "Gini", "Noise"]
+            .iter()
+            .cycle()
+            .take(MAX_CANDIDATES + 1)
+            .map(|s| s.to_string())
+            .collect();
+        match brute_force(&p, &cands, 1) {
+            Err(MesaError::InvalidInput(msg)) => assert!(msg.contains("20"), "{msg}"),
+            other => panic!("expected InvalidInput, got {other:?}"),
+        }
     }
 
     #[test]

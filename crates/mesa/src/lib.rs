@@ -22,7 +22,7 @@
 //! 7. [`baselines`] — Brute-Force, Top-K, Linear Regression, and HypDB.
 //!
 //! The [`Mesa`] facade in [`system`] wires the stages together for one-shot
-//! runs; [`session`] keeps a dataset's extraction and prepared-query caches
+//! runs; [`session`] keeps a dataset's extraction cache and report memo
 //! alive across queries (and batches them with [`Session::explain_many`]);
 //! [`report`] renders results for humans.
 //!

@@ -36,7 +36,7 @@ use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use infotheory::{CiTestConfig, EncodedFrame};
-use stats::{irls, Design, LogisticConfig};
+use stats::{irls, Design};
 use tabular::{Column, EncodedColumn};
 
 use crate::error::{MesaError, Result};
@@ -207,7 +207,7 @@ impl SelectionDesign {
         }
         let marginal = observed.iter().sum::<f64>() / r.len() as f64;
         let share: Vec<f64> = observed.iter().zip(rows).map(|(o, n)| o / n).collect();
-        let model = irls(&self.design, &share, Some(rows), LogisticConfig::default()).ok()?;
+        let model = irls(&self.design, &share, Some(rows)).ok()?;
         let weight: Vec<f64> = self
             .design
             .rows()
@@ -525,7 +525,7 @@ mod tests {
                 .iter()
                 .map(|&c| f64::from(c))
                 .collect();
-            let model = irls(&design, &r, None, LogisticConfig::default()).unwrap();
+            let model = irls(&design, &r, None).unwrap();
             let marginal = r.iter().sum::<f64>() / n as f64;
             for (i, (x, &ri)) in design.rows().zip(&r).enumerate() {
                 let want = if ri > 0.5 {

@@ -70,8 +70,7 @@ pub struct PreparedQuery {
 
 impl PreparedQuery {
     /// Approximate resident footprint in bytes (frame + sealed encoded
-    /// columns + name lists), pricing entries for the session's
-    /// prepared-query budget.
+    /// columns + name lists).
     pub fn approx_bytes(&self) -> usize {
         let encoded: usize = self
             .encoded
@@ -463,9 +462,9 @@ pub fn prepare_from_joined(
             "the frame only contains the exposure and outcome".into(),
         ));
     }
-    // 5. Sealing. The session memo holds prepared queries, and narrow codes
-    //    shrink them; every estimator reads them in place through the
-    //    kernel's block fold with bit-identical results.
+    // 5. Sealing. Narrow codes shrink a preparation's codes; every
+    //    estimator reads them in place through the kernel's block fold
+    //    with bit-identical results.
     encoded.seal();
 
     Ok(PreparedQuery {

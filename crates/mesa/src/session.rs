@@ -5,7 +5,7 @@
 //! when dozens of queries hit the same dataset. A [`Session`] is constructed
 //! once per dataset (a `DataFrame`, optionally a `KnowledgeGraph`, and a
 //! [`MesaConfig`]) and amortises that work across queries, the way a
-//! traffic-serving deployment would:
+//! traffic-serving deployment would, in two tiers:
 //!
 //! * **Extraction cache** ([`ExtractionCache`]) — the expensive KG stage
 //!   (entity linking + multi-hop expansion) is keyed by
@@ -13,13 +13,15 @@
 //!   [`kg::extract_attributes`] is a pure function of exactly that key, so a
 //!   cache hit is byte-identical to re-extracting — queries with different
 //!   contexts select different distinct values and therefore cannot alias.
-//! * **Prepared-query memo** — the fully prepared (joined, binned, encoded)
-//!   view of each query, keyed by the canonical
-//!   [`AggregateQuery::fingerprint`].
-//! * **Report memo** — the finished [`MesaReport`] per fingerprint, so
-//!   repeating a query is a hash lookup.
+//! * **Report memo** — the finished [`MesaReport`] per canonical
+//!   [`AggregateQuery::fingerprint`], so repeating a query is a hash lookup.
 //!
-//! Every tier is a [`BoundedCache`]: entry-count and approximate byte
+//! A preparation (the joined, binned, encoded view of a query) lives for
+//! one request: a report fill prepares, explains and drops it, and
+//! [`Session::prepare`] hands its caller an owned one. Repeats are served
+//! by the report memo, so a kept preparation would serve no request.
+//!
+//! Both tiers are [`BoundedCache`]s: entry-count and approximate byte
 //! budgets ([`SessionLimits`]) evict least-recently-used entries instead of
 //! letting a long-running session grow without bound, and concurrent misses
 //! of the same key coalesce onto one in-flight computation instead of
@@ -50,7 +52,9 @@
 //! warm and cold paths is locked by `tests/session.rs`.
 
 use std::any::Any;
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -203,9 +207,6 @@ impl<'g> ExtractionCache<'g> {
 /// [`CacheBudget::entries`]) to exercise eviction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionLimits {
-    /// Budget of the prepared-query memo (entries priced by
-    /// [`PreparedQuery::approx_bytes`]).
-    pub prepared: CacheBudget,
     /// Budget of the report memo (entries priced by
     /// [`MesaReport::approx_bytes`]). A report is mostly its IPW weights,
     /// one `f64` per row per weighted attribute: a 20,000-row report can
@@ -219,10 +220,6 @@ pub struct SessionLimits {
 impl Default for SessionLimits {
     fn default() -> Self {
         SessionLimits {
-            prepared: CacheBudget {
-                max_entries: Some(4096),
-                max_bytes: Some(512 << 20),
-            },
             reports: CacheBudget {
                 max_entries: Some(65536),
                 max_bytes: Some(256 << 20),
@@ -239,7 +236,6 @@ impl SessionLimits {
     /// No budgets at all: every tier keeps everything it ever computes.
     pub fn unbounded() -> Self {
         SessionLimits {
-            prepared: CacheBudget::unbounded(),
             reports: CacheBudget::unbounded(),
             extraction: CacheBudget::unbounded(),
         }
@@ -250,7 +246,9 @@ impl SessionLimits {
 /// coalesced (deduplicated) misses, and approximate resident bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SessionCacheStats {
-    /// Counters of the prepared-query memo.
+    /// The preparations the session ran, as `misses`; every other counter
+    /// is 0, since no preparation is kept. The field stays until one
+    /// snapshot of the session's counters replaces this struct.
     pub prepared: CacheStats,
     /// Counters of the report memo.
     pub reports: CacheStats,
@@ -297,40 +295,42 @@ pub struct Session<'a> {
     df: &'a DataFrame,
     extraction_columns: Vec<String>,
     config: MesaConfig,
-    limits: SessionLimits,
     /// `None` when the session has no knowledge graph; otherwise the cache
     /// carries the graph borrow itself.
     extraction: Option<ExtractionCache<'a>>,
-    prepared: BoundedCache<String, PreparedQuery>,
     reports: BoundedCache<String, MesaReport>,
+    /// Preparations run so far, reported as [`SessionCacheStats::prepared`].
+    preparations: AtomicUsize,
+    /// Their bytes, as [`PreparedQuery::approx_bytes`] prices them.
+    prepared_bytes: AtomicUsize,
 }
 
-/// Memo bytes (as the tiers price them) from which dropping a session hands
-/// the freed heap back to the operating system. A one-shot explanation's
-/// session, with one preparation and one report of a 20,000-row query,
-/// holds about 20 MB; a session that has answered several such queries
-/// holds more.
+/// Bytes from which dropping a session hands the freed heap back to the
+/// operating system. A one-shot session, with one preparation and one
+/// report of a 20,000-row query, builds about 20 MB; a session that has
+/// answered several such queries builds more.
 const RELEASE_ON_DROP_BYTES: usize = 32 << 20;
 
-/// Frees the memos and, when they held at least 32 MiB, returns the freed
-/// pages to the operating system with [`parallel::release_free_memory`].
-/// Pool workers fill part of the memos, so without this the pages would
-/// stay resident in the allocator heaps of whichever threads built them.
-/// Smaller sessions skip the release, whose cost is a page fault per page
-/// when the memory is next reused.
+/// Frees the memos and, when they and the preparations the session ran
+/// came to at least 32 MiB, returns the freed pages to the operating system
+/// with [`parallel::release_free_memory`]. Pool workers build part of every
+/// memo and preparation, and without this the pages would stay resident in
+/// the allocator heaps of whichever threads built them, even those of a
+/// preparation its request already freed. Smaller sessions skip the
+/// release, whose cost is a page fault per page when the memory is next
+/// reused.
 impl Drop for Session<'_> {
     fn drop(&mut self) {
-        let held = self.prepared.resident_bytes()
+        let built = self.prepared_bytes.load(Ordering::Relaxed)
             + self.reports.resident_bytes()
             + self
                 .extraction
                 .as_ref()
                 .map_or(0, |cache| cache.stats().resident_bytes);
-        if held < RELEASE_ON_DROP_BYTES {
+        if built < RELEASE_ON_DROP_BYTES {
             return;
         }
-        self.prepared = BoundedCache::new(self.limits.prepared);
-        self.reports = BoundedCache::new(self.limits.reports);
+        self.reports = BoundedCache::new(self.reports.budget());
         self.extraction = None;
         parallel::release_free_memory();
     }
@@ -367,70 +367,53 @@ impl<'a> Session<'a> {
             df,
             extraction_columns: extraction_columns.iter().map(|s| s.to_string()).collect(),
             config,
-            limits,
             extraction: graph.map(|g| ExtractionCache::with_budget(g, limits.extraction)),
-            prepared: BoundedCache::new(limits.prepared),
             reports: BoundedCache::new(limits.reports),
+            preparations: AtomicUsize::new(0),
+            prepared_bytes: AtomicUsize::new(0),
         }
-    }
-
-    /// The configuration every query in this session runs under.
-    pub fn config(&self) -> &MesaConfig {
-        &self.config
-    }
-
-    /// The dataset the session serves.
-    pub fn frame(&self) -> &DataFrame {
-        self.df
-    }
-
-    /// The per-tier cache budgets the session enforces.
-    pub fn limits(&self) -> SessionLimits {
-        self.limits
     }
 
     /// Per-tier cache counters: hits, misses, entries, evictions, coalesced
     /// misses and approximate resident bytes.
     pub fn cache_stats(&self) -> SessionCacheStats {
         SessionCacheStats {
-            prepared: self.prepared.stats(),
+            prepared: CacheStats {
+                misses: self.preparations.load(Ordering::Relaxed),
+                ..CacheStats::default()
+            },
             reports: self.reports.stats(),
             extraction: self.extraction.as_ref().map(ExtractionCache::stats),
         }
     }
 
-    /// Prepares a query (context, extraction, binning, encoding), serving
-    /// repeated queries from the memo and the extraction stage from the
-    /// shared cache. Pipeline panics surface as [`MesaError::Internal`].
-    pub fn prepare(&self, query: &AggregateQuery) -> Result<Arc<PreparedQuery>> {
-        guard_panics(|| self.prepare_keyed(&query.fingerprint(), query))
-    }
-
-    fn prepare_keyed(
-        &self,
-        fingerprint: &str,
-        query: &AggregateQuery,
-    ) -> Result<Arc<PreparedQuery>> {
-        let key = fingerprint.to_string();
-        self.prepared
-            .get_or_fill(&key, PreparedQuery::approx_bytes, || {
-                parallel::fault_point!("mesa.session.fill_prepared");
-                parallel::checkpoint();
-                let filtered = apply_query_context(self.df, query)?;
-                let extraction_config = self.config.prepare.extraction;
-                let (joined, joins) = match &self.extraction {
-                    Some(cache) => {
-                        let columns: Vec<&str> =
-                            self.extraction_columns.iter().map(|s| s.as_str()).collect();
-                        extract_and_join_with(&filtered, &columns, |column, values, key_column| {
-                            cache.get_or_extract(column, values, key_column, extraction_config)
-                        })?
-                    }
-                    None => (filtered, Vec::new()),
-                };
-                parallel::checkpoint();
-                prepare_from_joined(query, joined, joins, self.config.prepare)
-            })
+    /// Prepares a query (context, extraction through the shared cache,
+    /// binning, encoding and sealing) and hands the preparation to the
+    /// caller; the session keeps none of it. Pipeline panics surface as
+    /// [`MesaError::Internal`].
+    pub fn prepare(&self, query: &AggregateQuery) -> Result<PreparedQuery> {
+        guard_panics(|| {
+            self.preparations.fetch_add(1, Ordering::Relaxed);
+            parallel::fault_point!("mesa.session.fill_prepared");
+            parallel::checkpoint();
+            let filtered = apply_query_context(self.df, query)?;
+            let extraction_config = self.config.prepare.extraction;
+            let (joined, joins) = match &self.extraction {
+                Some(cache) => {
+                    let columns: Vec<&str> =
+                        self.extraction_columns.iter().map(|s| s.as_str()).collect();
+                    extract_and_join_with(&filtered, &columns, |column, values, key_column| {
+                        cache.get_or_extract(column, values, key_column, extraction_config)
+                    })?
+                }
+                None => (filtered, Vec::new()),
+            };
+            parallel::checkpoint();
+            let prepared = prepare_from_joined(query, joined, joins, self.config.prepare)?;
+            self.prepared_bytes
+                .fetch_add(prepared.approx_bytes(), Ordering::Relaxed);
+            Ok(prepared)
+        })
     }
 
     /// Explains a query end to end, serving repeats from the report memo.
@@ -461,17 +444,22 @@ impl<'a> Session<'a> {
         fingerprint: &str,
         query: &AggregateQuery,
     ) -> Result<Arc<MesaReport>> {
-        guard_panics(|| self.explain_keyed(fingerprint, query))
+        guard_panics(|| self.report_or_fill(fingerprint, || self.prepare(query)))
     }
 
-    fn explain_keyed(&self, fingerprint: &str, query: &AggregateQuery) -> Result<Arc<MesaReport>> {
-        let key = fingerprint.to_string();
+    /// The memoised report for `fingerprint`; a miss explains the
+    /// preparation `prepare` yields and drops it with the fill.
+    fn report_or_fill<P: Borrow<PreparedQuery>>(
+        &self,
+        fingerprint: &str,
+        prepare: impl FnOnce() -> Result<P>,
+    ) -> Result<Arc<MesaReport>> {
         self.reports
-            .get_or_fill(&key, MesaReport::approx_bytes, || {
+            .get_or_fill(&fingerprint.to_string(), MesaReport::approx_bytes, || {
                 parallel::fault_point!("mesa.session.fill_report");
                 parallel::checkpoint();
-                let prepared = self.prepare_keyed(fingerprint, query)?;
-                Mesa::with_config(self.config).explain_prepared(&prepared)
+                let prepared = prepare()?;
+                Mesa::with_config(self.config).explain_prepared(prepared.borrow())
             })
     }
 
@@ -559,16 +547,18 @@ impl<'a> Session<'a> {
     }
 
     /// Finds the top-k unexplained data subgroups (Algorithm 2) for a
-    /// query's cached explanation, preparing and explaining it first if
-    /// needed.
+    /// query's explanation. The query is prepared once; that preparation
+    /// fills the report memo on a miss and feeds Algorithm 2.
     pub fn unexplained_subgroups(
         &self,
         query: &AggregateQuery,
         config: &SubgroupConfig,
     ) -> Result<Vec<Subgroup>> {
-        let prepared = self.prepare(query)?;
-        let report = self.explain(query)?;
-        guard_panics(|| unexplained_subgroups(&prepared, &report.explanation.attributes, config))
+        guard_panics(|| {
+            let prepared = self.prepare(query)?;
+            let report = self.report_or_fill(&query.fingerprint(), || Ok(&prepared))?;
+            unexplained_subgroups(&prepared, &report.explanation.attributes, config)
+        })
     }
 }
 
@@ -797,10 +787,51 @@ mod tests {
             session.explain(&q).unwrap();
         }
         let stats = session.cache_stats();
-        assert_eq!(stats.prepared.evictions, 0);
         assert_eq!(stats.reports.evictions, 0);
         assert_eq!(stats.extraction.unwrap().evictions, 0);
-        assert!(stats.prepared.resident_bytes > 0);
+        assert!(stats.reports.resident_bytes > 0);
+    }
+
+    #[test]
+    fn explain_keeps_no_preparation_and_prepare_runs_anew() {
+        let (df, g) = setup();
+        let session = Session::new(&df, Some(&g), &["Country"], MesaConfig::default());
+        let q = AggregateQuery::avg("Country", "Salary");
+        session.explain(&q).unwrap();
+        let prepared = session.cache_stats().prepared;
+        assert_eq!(prepared.misses, 1);
+        assert_eq!(prepared.hits, 0);
+        assert_eq!(prepared.entries, 0);
+        assert_eq!(prepared.resident_bytes, 0);
+        let first = session.prepare(&q).unwrap();
+        let second = session.prepare(&q).unwrap();
+        assert_eq!(session.cache_stats().prepared.misses, 3);
+        assert_eq!(first.candidates, second.candidates);
+        assert_eq!(first.extracted, second.extracted);
+        assert_eq!(
+            first.encoded.encoding_report(),
+            second.encoded.encoding_report()
+        );
+    }
+
+    #[test]
+    fn subgroups_prepare_once_and_fill_the_report_memo() {
+        let (df, g) = setup();
+        let session = Session::new(&df, Some(&g), &["Country"], MesaConfig::default());
+        let q = AggregateQuery::avg("Country", "Salary");
+        let config = SubgroupConfig {
+            min_group_size: 10,
+            ..Default::default()
+        };
+        session.unexplained_subgroups(&q, &config).unwrap();
+        let stats = session.cache_stats();
+        assert_eq!(stats.prepared.misses, 1);
+        assert_eq!(stats.reports.misses, 1);
+        assert_eq!(stats.reports.entries, 1);
+        session.explain(&q).unwrap();
+        let stats = session.cache_stats();
+        assert_eq!(stats.reports.hits, 1);
+        assert_eq!(stats.prepared.misses, 1);
     }
 
     #[test]

@@ -206,7 +206,7 @@ impl Mesa {
     /// pipeline serves both the one-shot and the cached cross-query path,
     /// so there is nothing for the two to diverge on. When several queries
     /// hit the same dataset, construct the session once ([`Mesa::session`])
-    /// and let it amortise extraction and preparation.
+    /// and let it share extractions and memoise reports.
     pub fn explain(
         &self,
         df: &DataFrame,
@@ -223,8 +223,8 @@ impl Mesa {
     }
 
     /// A long-lived [`Session`] over one dataset, carrying this instance's
-    /// configuration: caches KG extraction, prepared queries, and reports
-    /// across queries, and batches independent queries with
+    /// configuration: caches KG extractions and reports across queries,
+    /// and batches independent queries with
     /// [`Session::explain_many`].
     pub fn session<'a>(
         &self,

@@ -25,7 +25,8 @@ use std::time::Duration;
 /// and the robustness suite's `FAULT_POINTS` coverage list stay identical,
 /// so a renamed or added point cannot silently drift out of test coverage.
 pub const NAMED_POINTS: &[&str] = &[
-    // Session cache-fill paths, one per tier (report / prepared / extraction).
+    // Session fill paths: a report fill, the preparation every report fill
+    // and `Session::prepare` run, and an extraction fill.
     "mesa.session.fill_report",
     "mesa.session.fill_prepared",
     "mesa.session.fill_extraction",

@@ -29,7 +29,7 @@ pub mod ols;
 pub mod special;
 
 pub use correlation::{mean, pearson, spearman, std_dev, variance};
-pub use logistic::{irls, Design, IrlsFit, LogisticConfig};
+pub use logistic::{irls, Design, IrlsFit};
 pub use matrix::{Matrix, MatrixError};
 pub use ols::{ols_fit, Coefficient, FitError, OlsFit};
 pub use special::{beta_inc, erf, ln_gamma, normal_cdf, student_t_sf};

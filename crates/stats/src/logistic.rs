@@ -120,27 +120,13 @@ fn sigmoid(z: f64) -> f64 {
     numerator / (1.0 + e)
 }
 
-/// Configuration for the IRLS optimiser.
-#[derive(Debug, Clone, Copy)]
-pub struct LogisticConfig {
-    /// Maximum Newton iterations.
-    pub max_iter: usize,
-    /// Convergence tolerance on the max absolute coefficient update.
-    pub tol: f64,
-    /// L2 ridge penalty (applied to all coefficients except the intercept);
-    /// a small positive value keeps the Hessian invertible under separation.
-    pub ridge: f64,
-}
-
-impl Default for LogisticConfig {
-    fn default() -> Self {
-        LogisticConfig {
-            max_iter: 50,
-            tol: 1e-8,
-            ridge: 1e-6,
-        }
-    }
-}
+/// Newton iterations an [`irls`] fit runs at most.
+const MAX_ITER: usize = 50;
+/// Convergence tolerance on the largest absolute coefficient update.
+const TOL: f64 = 1e-8;
+/// L2 ridge penalty on every coefficient except the intercept; a small
+/// positive value keeps the Hessian invertible under separation.
+const RIDGE: f64 = 1e-6;
 
 /// Fits `P(y = 1 | x) = sigmoid(β · x)` over the rows `x` of `design` by
 /// Newton–Raphson (IRLS): the one IRLS loop behind every logistic fit.
@@ -152,12 +138,7 @@ impl Default for LogisticConfig {
 /// the same optimum while running over the distinct combinations instead of
 /// the rows. The design is only read, so fits of several outcomes can share
 /// it.
-pub fn irls(
-    design: &Design,
-    y: &[f64],
-    row_weights: Option<&[f64]>,
-    config: LogisticConfig,
-) -> Result<IrlsFit, FitError> {
+pub fn irls(design: &Design, y: &[f64], row_weights: Option<&[f64]>) -> Result<IrlsFit, FitError> {
     let n = design.n_rows();
     if y.len() != n {
         return Err(FitError::ShapeMismatch(format!(
@@ -194,7 +175,7 @@ pub fn irls(
     let mut iterations = 0;
     let mut grad = vec![0.0f64; p];
     let mut upper = vec![0.0f64; p * (p + 1) / 2];
-    for iter in 0..config.max_iter {
+    for iter in 0..MAX_ITER {
         iterations = iter + 1;
         accumulate(design, y, row_weights, &beta, &mut grad, &mut upper);
         // Symmetrise into a matrix and add the ridge term (not on the
@@ -209,8 +190,8 @@ pub fn irls(
             }
         }
         for j in 1..p {
-            hess[(j, j)] += config.ridge;
-            grad[j] -= config.ridge * beta[j];
+            hess[(j, j)] += RIDGE;
+            grad[j] -= RIDGE * beta[j];
         }
         let step = match hess.solve(&Matrix::column_vector(grad.clone())) {
             Ok(s) => s,
@@ -231,7 +212,7 @@ pub fn irls(
             beta[j] += delta;
             max_update = max_update.max(delta.abs());
         }
-        if max_update < config.tol {
+        if max_update < TOL {
             converged = true;
             break;
         }
@@ -290,14 +271,14 @@ fn accumulate(
 mod tests {
     use super::*;
 
-    /// Fits `y` over the given feature columns with the default config.
+    /// Fits `y` over the given feature columns.
     fn try_fit(
         y: &[f64],
         columns: &[&[f64]],
         row_weights: Option<&[f64]>,
     ) -> Result<IrlsFit, FitError> {
         let design = Design::from_columns(y.len(), columns)?;
-        irls(&design, y, row_weights, LogisticConfig::default())
+        irls(&design, y, row_weights)
     }
 
     fn fit(y: &[f64], columns: &[&[f64]]) -> IrlsFit {
@@ -317,7 +298,7 @@ mod tests {
     /// grouped form are omitted.
     fn log_likelihood(y: &[f64], columns: &[&[f64]], row_weights: Option<&[f64]>) -> f64 {
         let design = Design::from_columns(y.len(), columns).unwrap();
-        let model = irls(&design, y, row_weights, LogisticConfig::default()).unwrap();
+        let model = irls(&design, y, row_weights).unwrap();
         let mut ll = 0.0;
         for (i, (row, &yi)) in design.rows().zip(y).enumerate() {
             let wi = row_weights.map_or(1.0, |w| w[i]);
@@ -456,11 +437,11 @@ mod tests {
         ));
         let design = Design::from_columns(4, &[&x[..]]).unwrap();
         assert!(matches!(
-            irls(&design, &[0.0, 1.0], None, LogisticConfig::default()),
+            irls(&design, &[0.0, 1.0], None),
             Err(FitError::ShapeMismatch(_))
         ));
         let y = [0.0, 1.0, 0.0, 1.0];
-        let kernel = irls(&design, &y, None, LogisticConfig::default()).unwrap();
+        let kernel = irls(&design, &y, None).unwrap();
         let (b0, b1) = (kernel.coefficients[0], kernel.coefficients[1]);
         for (row, xi) in design.rows().zip(x) {
             assert_eq!(row, [1.0, xi]);
@@ -475,13 +456,12 @@ mod tests {
         y: &[f64],
         columns: &[Vec<f64>],
         row_weights: Option<&[f64]>,
-        config: LogisticConfig,
     ) -> Result<IrlsFit, FitError> {
         let p = columns.len() + 1;
         let mut beta = vec![0.0; p];
         let mut converged = false;
         let mut iterations = 0;
-        for iter in 0..config.max_iter {
+        for iter in 0..MAX_ITER {
             iterations = iter + 1;
             let mut grad = vec![0.0; p];
             let mut hess = Matrix::zeros(p, p);
@@ -510,8 +490,8 @@ mod tests {
                 }
             }
             for j in 1..p {
-                hess[(j, j)] += config.ridge;
-                grad[j] -= config.ridge * beta[j];
+                hess[(j, j)] += RIDGE;
+                grad[j] -= RIDGE * beta[j];
             }
             let step = hess
                 .solve(&Matrix::column_vector(grad))
@@ -531,7 +511,7 @@ mod tests {
                 beta[j] += delta;
                 max_update = max_update.max(delta.abs());
             }
-            if max_update < config.tol {
+            if max_update < TOL {
                 converged = true;
                 break;
             }
@@ -571,7 +551,6 @@ mod tests {
             weights in proptest::collection::vec(0.0f64..4.0, MAX_ROWS),
             kind in 0u32..5,
         ) {
-            let config = LogisticConfig::default();
             let feature = |j: usize| -> Vec<f64> {
                 let col = &values[j * MAX_ROWS..j * MAX_ROWS + n];
                 match kind {
@@ -611,8 +590,8 @@ mod tests {
             for m in 0..=MAX_FEATURES {
                 let cols: Vec<&[f64]> = columns[..m].iter().map(Vec::as_slice).collect();
                 let design = Design::from_columns(n, &cols).unwrap();
-                let got = outcome(irls(&design, &y, row_weights.as_deref(), config));
-                let want = outcome(textbook_irls(&y, &columns[..m], row_weights.as_deref(), config));
+                let got = outcome(irls(&design, &y, row_weights.as_deref()));
+                let want = outcome(textbook_irls(&y, &columns[..m], row_weights.as_deref()));
                 if kind == 3 {
                     proptest::prop_assert_eq!(&got, &Err(FitError::Singular));
                 }

@@ -2,6 +2,7 @@
 
 use crate::column::Column;
 use crate::error::{Result, TabularError};
+use crate::value::cmp_nan_last;
 
 /// An aggregation function over the numeric view of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,7 +90,7 @@ impl AggFn {
                 if values.is_empty() {
                     None
                 } else {
-                    values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+                    values.sort_by(|&a, &b| cmp_nan_last(a, b));
                     let mid = values.len() / 2;
                     Some(if values.len() % 2 == 1 {
                         values[mid]
@@ -130,6 +131,30 @@ mod tests {
 
     fn col() -> Column {
         Column::from_f64("x", vec![Some(1.0), Some(3.0), None, Some(2.0), Some(4.0)])
+    }
+
+    #[test]
+    fn median_sorts_nan_cells_after_every_number() {
+        // 14 numbers and 7 NaN cells: the 11th of the 21 sorted values is
+        // the 11th smallest number.
+        let cells: Vec<Option<f64>> = (0..21)
+            .map(|i| {
+                Some(if i % 3 == 0 {
+                    f64::NAN
+                } else {
+                    ((i * 7) % 11) as f64
+                })
+            })
+            .collect();
+        let mut numbers: Vec<f64> = cells
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|v| !v.is_nan())
+            .collect();
+        numbers.sort_by(f64::total_cmp);
+        let col = Column::from_f64("x", cells);
+        assert_eq!(AggFn::Median.apply_all(&col).unwrap(), Some(numbers[10]));
     }
 
     #[test]

@@ -236,14 +236,15 @@ impl DataFrame {
     }
 
     /// Returns the row indices that sort the frame by the given column
-    /// (ascending; nulls first). Ties keep their original order.
+    /// (ascending by [`Value::total_cmp`]: nulls first, NaN after every
+    /// number). Ties keep their original order.
     pub fn argsort_by(&self, column: &str) -> Result<Vec<usize>> {
         let col = self.column(column)?;
         let mut idx: Vec<usize> = (0..col.len()).collect();
         idx.sort_by(|&a, &b| {
             let va = col.get(a).expect("in range");
             let vb = col.get(b).expect("in range");
-            va.partial_cmp(&vb).unwrap_or(std::cmp::Ordering::Equal)
+            va.total_cmp(&vb)
         });
         Ok(idx)
     }
@@ -377,6 +378,28 @@ impl Default for DataFrameBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sorting_by_a_float_column_with_nan_cells_puts_them_last() {
+        // 21 cells, every third one NaN and one null: enough rows that a
+        // sort by a comparator that is not a total order panics.
+        let mut cells: Vec<Option<f64>> = (0..21)
+            .map(|i| {
+                Some(if i % 3 == 0 {
+                    f64::NAN
+                } else {
+                    f64::from(i * 7 % 11)
+                })
+            })
+            .collect();
+        cells[1] = None;
+        let df = DataFrameBuilder::new().float("x", cells).build().unwrap();
+        let sorted = df.sort_by("x").unwrap().column("x").unwrap().to_f64();
+        assert_eq!(sorted[0], None);
+        let numbers: Vec<f64> = sorted[1..14].iter().map(|v| v.unwrap()).collect();
+        assert!(numbers.windows(2).all(|w| w[0] <= w[1]), "{numbers:?}");
+        assert!(sorted[14..].iter().all(|v| v.unwrap().is_nan()));
+    }
 
     fn sample() -> DataFrame {
         DataFrameBuilder::new()

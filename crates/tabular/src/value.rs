@@ -113,6 +113,16 @@ impl Value {
         }
     }
 
+    /// A total order over the cells of one column, for sorting: nulls
+    /// first, as [`PartialOrd`] orders them, and floats by
+    /// [`f64::total_cmp`] with every NaN after every number.
+    pub fn total_cmp(&self, other: &Self) -> Ordering {
+        match (self, other) {
+            (Value::Float(a), Value::Float(b)) => cmp_nan_last(*a, *b),
+            _ => self.partial_cmp(other).unwrap_or(Ordering::Equal),
+        }
+    }
+
     /// Renders the value the way it appears in CSV output and reports.
     /// Nulls render as the empty string.
     pub fn render(&self) -> String {
@@ -130,6 +140,11 @@ impl Value {
             Value::Str(s) => s.clone(),
         }
     }
+}
+
+/// [`f64::total_cmp`] with every NaN, whatever its sign, after every number.
+pub(crate) fn cmp_nan_last(a: f64, b: f64) -> Ordering {
+    a.is_nan().cmp(&b.is_nan()).then(a.total_cmp(&b))
 }
 
 impl fmt::Display for Value {

@@ -14,8 +14,8 @@ fn main() {
     let graph = build_kg(&world, KgConfig::default());
     let so = generate_so(&world, 12_000, 7).expect("SO data");
 
-    // One session serves every SO query: extraction, prepared queries, and
-    // reports are cached across the calls below.
+    // One session serves every SO query: extractions and reports are cached
+    // across the calls below.
     let mesa = Mesa::new();
     let session = mesa.session(&so, Some(&graph), &["Country", "Continent"]);
 
@@ -26,7 +26,8 @@ fn main() {
     println!("{}", explanation_details(&report.explanation));
 
     // Which parts of the data does this explanation fail to cover? The
-    // session reuses Q1's cached preparation and explanation here.
+    // session prepares Q1 again (it keeps no preparation) and reuses Q1's
+    // memoised explanation.
     let groups = session
         .unexplained_subgroups(
             &q1,

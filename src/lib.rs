@@ -37,8 +37,8 @@
 //!
 //! **As a service:** [`mesa::Session`] is constructed once per dataset and
 //! amortises the pipeline across queries: KG extraction is cached by
-//! `(column, hops, one-to-many policy, distinct values)`, prepared queries
-//! and finished reports are memoized by the canonical
+//! `(column, hops, one-to-many policy, distinct values)`, finished reports
+//! are memoized by the canonical
 //! [`tabular::AggregateQuery::fingerprint`], and independent queries batch
 //! through [`mesa::Session::explain_many`]. The one-shot path is a thin
 //! wrapper over a transient session, so both produce byte-identical output

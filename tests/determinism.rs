@@ -242,7 +242,6 @@ fn render_evict_rewarm_at(cap: usize) -> String {
         let graph = build_kg(&world, KgConfig::default());
         let covid = generate_covid(&world, 3).unwrap();
         let limits = SessionLimits {
-            prepared: CacheBudget::entries(1),
             reports: CacheBudget::entries(1),
             extraction: CacheBudget::entries(1),
         };

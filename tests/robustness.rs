@@ -191,7 +191,6 @@ fn eviction_storm_keeps_results_byte_identical() {
     let _guard = serial();
     let (covid, graph) = fixture();
     let tight = SessionLimits {
-        prepared: CacheBudget::entries(1),
         reports: CacheBudget::entries(1),
         extraction: CacheBudget::entries(1),
     };
